@@ -2,18 +2,14 @@
 
 from .control import (
     ControlLedger,
-    NonConvergence,
     NoRootInInterval,
     NotStabilized,
     PulseRecord,
     PulseSolution,
-    RootSelection,
     RunResult,
     RunSetup,
-    SolverConfig,
     StabilizationReport,
     detect_stabilization,
-    replay_template,
     run,
     solve_pulse,
     step,
@@ -21,11 +17,10 @@ from .control import (
 from .evolution import (
     THERMAL_CONSISTENT,
     THERMAL_FOLDED,
-    EvolutionInput,
-    component_response,
     evolve,
     evolve_adiabatic,
     evolve_thermal,
+    harmonic_coefficients,
     zero_control,
     zero_control_adiabatic,
     zero_control_thermal,

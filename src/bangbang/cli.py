@@ -5,14 +5,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .control import NonConvergence, NoRootInInterval
+from .control import NoRootInInterval
 from .kernels import QuadratureError
 from .runner import PRESETS, ConfigError, export_csv, load_config, run_scenario
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_ROOT = 2
-EXIT_NON_CONVERGENCE = 3
+# exit code of an aborted run, by the class of the exception that aborted it
+ABORT_EXIT_CODES = {NoRootInInterval: EXIT_NO_ROOT}
 
 
 def _parse_initial(text: str) -> list[float]:
@@ -75,7 +76,11 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_ERROR
 
     if cfg.out:
-        export_csv(result.trajectory, cfg.out)
+        try:
+            export_csv(result.trajectory, cfg.out)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
         print(f"wrote {len(result.trajectory.rows)} rows to {cfg.out}")
     else:
         print(f"computed {len(result.trajectory.rows)} trajectory rows (no --out given)")
@@ -83,11 +88,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if not result.run.completed:
         print(f"aborted at step {result.run.aborted_at}: {result.run.error}", file=sys.stderr)
-        if result.run.error and NoRootInInterval.__name__ in result.run.error:
-            return EXIT_NO_ROOT
-        if result.run.error and NonConvergence.__name__ in result.run.error:
-            return EXIT_NON_CONVERGENCE
-        return EXIT_ERROR
+        return ABORT_EXIT_CODES.get(result.run.error_type, EXIT_ERROR)
     return EXIT_OK
 
 

@@ -10,18 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
-from .evolution import THERMAL_CONSISTENT, component_response, evolve
+from .evolution import THERMAL_CONSISTENT, evolve, harmonic_coefficients
 from .kernels import Regime
 from .noise import NoiseConfig, PulseNoise
 from .state import COMPONENT_LABELS, Component, DensityMatrix
 
 N_COMPONENTS = 8
-
-
-class RootSelection(Enum):
-    SMALLEST_MAGNITUDE = "smallest-magnitude"
+ROOT_TOL = 1e-12                     # on the restoration-equation residual
 
 
 class NoRootInInterval(RuntimeError):
@@ -32,34 +28,14 @@ class NoRootInInterval(RuntimeError):
     """
 
 
-class NonConvergence(RuntimeError):
-    """Root refinement exhausted its iteration budget."""
-
-
 class NotStabilized(RuntimeError):
     """No cycle after which the pulse sequence repeats with period 8."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    interval_halfwidth: float = math.pi / 2.0
-    root_tol: float = 1e-12          # on the equation residual
-    max_iter: int = 200
-    n_scan: int = 64                 # uniform subintervals scanned for sign changes
-    selection: RootSelection = RootSelection.SMALLEST_MAGNITUDE
-
-    def __post_init__(self):
-        if self.interval_halfwidth <= 0 or self.root_tol <= 0:
-            raise ValueError("interval_halfwidth and root_tol must be > 0")
-        if self.max_iter < 1 or self.n_scan < 2:
-            raise ValueError("max_iter must be >= 1 and n_scan >= 2")
 
 
 @dataclass(frozen=True)
 class PulseSolution:
     value: float
     residual: float
-    bracket: tuple[float, float]
     degenerate: bool = False
 
 
@@ -70,7 +46,6 @@ class PulseRecord:
     solved_I: float
     applied_I: float
     root_residual: float
-    bracket: tuple[float, float]
     degenerate: bool = False
 
 
@@ -83,7 +58,6 @@ class ControlLedger:
     whenever noise is disabled.
     """
 
-    step_T: float
     step: int = 0
     ages: list[int] = field(default_factory=lambda: [0] * N_COMPONENTS)
     intended: list[float] = field(default_factory=lambda: [0.0] * N_COMPONENTS)
@@ -106,80 +80,33 @@ class ControlLedger:
         self.applied[idx] = 0.0
 
 
-def _refine_root(f, a, b, fa, fb, cfg: SolverConfig) -> tuple[float, float]:
-    """Hybrid secant/bisection on a sign-change bracket; stops on residual."""
-    for it in range(cfg.max_iter):
-        if fb != fa:
-            m = b - fb * (b - a) / (fb - fa)
-        else:
-            m = 0.5 * (a + b)
-        lo, hi = (a, b) if a < b else (b, a)
-        # fall back to bisection when secant stalls near an endpoint or escapes
-        if it % 2 == 1 or not (lo + 1e-17 < m < hi - 1e-17):
-            m = 0.5 * (a + b)
-        fm = f(m)
-        if abs(fm) <= cfg.root_tol:
-            return m, fm
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-        if abs(b - a) <= 4.0 * math.ulp(max(abs(a), abs(b), 1.0)):
-            # bracket at machine width; accept the better endpoint if within tol
-            x, fx = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-            if abs(fx) <= cfg.root_tol:
-                return x, fx
-    raise NonConvergence(
-        f"residual {min(abs(fa), abs(fb)):.3e} > {cfg.root_tol:g} "
-        f"after {cfg.max_iter} iterations on [{a!r}, {b!r}]"
-    )
-
-
 def solve_restoration(response, pulse_sum: float, target: float,
-                      cfg: SolverConfig = SolverConfig()) -> PulseSolution:
-    """Solve response(pulse_sum + I) = target for the pulse I of this step.
+                      root_tol: float = ROOT_TOL) -> PulseSolution:
+    """Solve response(pulse_sum + I) = target exactly for the pulse I of this step.
 
-    Scans the interval [-halfwidth, +halfwidth] for sign changes, refines each
-    bracket, and returns the smallest-magnitude root (ties toward negative).
-    A response that is numerically constant over the interval means the pulse
-    cannot influence this component at this step (symmetry-forced components,
-    or coherence factors decayed below resolution): the zero pulse is returned
-    and flagged degenerate. A non-constant response with no root raises
-    NoRootInInterval.
+    The response is A + R cos(2(pulse_sum + I) - phi) (see
+    `harmonic_coefficients`), so [-pi/2, pi/2] holds one full period and a root
+    exists iff |target - A| <= R. Of the two roots the smallest-magnitude one
+    is returned (ties toward negative); the residual is re-evaluated from the
+    response itself. A response with 2R <= root_tol cannot be influenced by the
+    pulse at this step (symmetry-forced components, or coherence factors
+    decayed below resolution): the zero pulse is returned and flagged
+    degenerate. Otherwise a target out of reach raises NoRootInInterval.
     """
-    hw = cfg.interval_halfwidth
-    xs = [(-hw) + 2.0 * hw * k / cfg.n_scan for k in range(cfg.n_scan + 1)]
-    fs = [response(pulse_sum + x) - target for x in xs]
-    spread = max(fs) - min(fs)
-    if spread <= cfg.root_tol:
-        return PulseSolution(
-            value=0.0,
-            residual=response(pulse_sum) - target,
-            bracket=(-hw, hw),
-            degenerate=True,
-        )
-    roots: list[tuple[float, float, tuple[float, float]]] = []
-    for x, fx in zip(xs, fs):
-        if abs(fx) <= cfg.root_tol:
-            roots.append((x, fx, (x, x)))
-    f = lambda x: response(pulse_sum + x) - target
-    for i in range(cfg.n_scan):
-        fa, fb = fs[i], fs[i + 1]
-        if abs(fa) <= cfg.root_tol or abs(fb) <= cfg.root_tol:
-            continue  # endpoint already registered as a root
-        if (fa < 0.0) == (fb < 0.0):
-            continue
-        x, fx = _refine_root(f, xs[i], xs[i + 1], fa, fb, cfg)
-        roots.append((x, fx, (xs[i], xs[i + 1])))
-    if not roots:
+    a, b, c = harmonic_coefficients(response)
+    r = math.hypot(b, c)
+    if 2.0 * r <= root_tol:
+        return PulseSolution(value=0.0, residual=response(pulse_sum) - target, degenerate=True)
+    if abs(target - a) > r + root_tol:
         raise NoRootInInterval(
-            f"no restoring pulse in [{-hw:g}, {hw:g}]: response range "
-            f"[{min(fs) + target:.6g}, {max(fs) + target:.6g}] does not reach "
-            f"target {target:.6g}"
+            f"no restoring pulse: response range [{a - r:.6g}, {a + r:.6g}] does not "
+            f"reach target {target:.6g}"
         )
-    roots.sort(key=lambda r: (abs(r[0]), r[0]))
-    value, residual, bracket = roots[0]
-    return PulseSolution(value=value, residual=residual, bracket=bracket)
+    phi = math.atan2(c, b)
+    half = math.acos(min(1.0, max(-1.0, (target - a) / r)))
+    roots = (math.remainder(0.5 * (phi + sign * half) - pulse_sum, math.pi) for sign in (-1.0, 1.0))
+    value = min(roots, key=lambda x: (abs(x), x))
+    return PulseSolution(value=value, residual=response(pulse_sum + value) - target)
 
 
 def solve_pulse(
@@ -188,13 +115,15 @@ def solve_pulse(
     g_since_reset: float,
     pulse_sum: float,
     target: float,
-    cfg: SolverConfig = SolverConfig(),
+    root_tol: float = ROOT_TOL,
     regime: Regime = Regime.ADIABATIC,
     thermal_variant: str = THERMAL_CONSISTENT,
 ) -> PulseSolution:
     """Restoration solve for one component given its clock state."""
-    response = component_response(idx, rho0, g_since_reset, regime, variant=thermal_variant)
-    return solve_restoration(response, pulse_sum, target, cfg)
+    def response(pulse_area: float) -> float:
+        return evolve(rho0, g_since_reset, pulse_area, regime, variant=thermal_variant).component(idx)
+
+    return solve_restoration(response, pulse_sum, target, root_tol)
 
 
 @dataclass(frozen=True)
@@ -206,7 +135,7 @@ class RunSetup:
     step_T: float
     num_steps: int
     g_table: tuple[float, ...]       # g at k*step_T for k = 0..num_steps
-    solver: SolverConfig = SolverConfig()
+    root_tol: float = ROOT_TOL
     noise: NoiseConfig = NoiseConfig()
     thermal_variant: str = THERMAL_CONSISTENT
     hermitize: bool = False
@@ -214,6 +143,8 @@ class RunSetup:
     def __post_init__(self):
         if self.step_T <= 0:
             raise ValueError(f"step_T must be > 0, got {self.step_T!r}")
+        if not self.root_tol > 0:
+            raise ValueError(f"root_tol must be > 0, got {self.root_tol!r}")
         if self.num_steps < 1:
             raise ValueError(f"num_steps must be >= 1, got {self.num_steps!r}")
         if len(self.g_table) < self.num_steps + 1:
@@ -240,6 +171,7 @@ class RunResult:
     states: list[StepState]
     aborted_at: int | None = None
     error: str | None = None
+    error_type: type[Exception] | None = None
 
     @property
     def completed(self) -> bool:
@@ -258,26 +190,29 @@ def _bookkept_value(setup: RunSetup, e: int, age: int, applied_sum: float) -> fl
     return rho.component(e)
 
 
-def step(ledger: ControlLedger, setup: RunSetup, noise: PulseNoise) -> tuple[PulseRecord, StepState]:
-    """Advance one control step: solve, apply (with noise), reset the clock.
+def step(ledger: ControlLedger, setup: RunSetup, noise: PulseNoise,
+         template: tuple[float, ...] | None = None) -> tuple[PulseRecord, StepState]:
+    """Advance one control step: solve (or take the template's pulse), apply
+    with noise, reset the clock.
 
     The corrected component's clock returns to zero, so its bookkept post-step
     value is exactly its reference value; every other component ages by one
     step and absorbs the applied pulse into its running sum.
     """
     idx = ledger.begin_step()
-    g = setup.g_table[ledger.ages[idx]]
-    target = setup.rho0.component(idx)
-    solution = solve_pulse(
-        idx,
-        setup.rho0,
-        g,
-        ledger.intended[idx],
-        target,
-        setup.solver,
-        setup.regime,
-        setup.thermal_variant,
-    )
+    if template is None:
+        solution = solve_pulse(
+            idx,
+            setup.rho0,
+            setup.g_table[ledger.ages[idx]],
+            ledger.intended[idx],
+            setup.rho0.component(idx),
+            setup.root_tol,
+            setup.regime,
+            setup.thermal_variant,
+        )
+    else:
+        solution = PulseSolution(value=template[idx], residual=math.nan)
     applied = noise.perturb(solution.value)
     ledger.accumulate(solution.value, applied)
     ledger.reset(idx)
@@ -287,7 +222,6 @@ def step(ledger: ControlLedger, setup: RunSetup, noise: PulseNoise) -> tuple[Pul
         solved_I=solution.value,
         applied_I=applied,
         root_residual=solution.residual,
-        bracket=solution.bracket,
         degenerate=solution.degenerate,
     )
     values = tuple(
@@ -304,18 +238,27 @@ def step(ledger: ControlLedger, setup: RunSetup, noise: PulseNoise) -> tuple[Pul
     return record, state
 
 
-def run(setup: RunSetup) -> RunResult:
+def run(setup: RunSetup, template=None) -> RunResult:
     """Run the full control loop; abort on the first solver failure, keeping
-    the partial trajectory and the failing step."""
-    ledger = ControlLedger(step_T=setup.step_T)
+    the partial trajectory and the failing step.
+
+    With an 8-pulse `template` the pulses are replayed open loop instead of
+    solved (root residual NaN); the bookkeeping is the same.
+    """
+    if template is not None:
+        template = tuple(float(v) for v in template)
+        if len(template) != N_COMPONENTS:
+            raise ValueError(f"template must have 8 pulses, got {len(template)}")
+    ledger = ControlLedger()
     noise = PulseNoise(setup.noise)
     result = RunResult(setup=setup, pulses=[], states=[])
     for _ in range(setup.num_steps):
         try:
-            record, state = step(ledger, setup, noise)
-        except (NoRootInInterval, NonConvergence) as exc:
+            record, state = step(ledger, setup, noise, template)
+        except NoRootInInterval as exc:
             idx = (ledger.step - 1) % N_COMPONENTS
             result.aborted_at = ledger.step
+            result.error_type = type(exc)
             result.error = (
                 f"{type(exc).__name__}: step {ledger.step}, "
                 f"component {COMPONENT_LABELS[idx]} "
@@ -324,51 +267,6 @@ def run(setup: RunSetup) -> RunResult:
             return result
         result.pulses.append(record)
         result.states.append(state)
-    return result
-
-
-def replay_template(setup: RunSetup, template) -> RunResult:
-    """Open-loop replay of a fixed 8-pulse template (no solving).
-
-    The ledger bookkeeping (ages, sums, per-step resets) is identical to the
-    closed-form run; only the pulse values are taken from the template.
-    """
-    template = tuple(float(v) for v in template)
-    if len(template) != N_COMPONENTS:
-        raise ValueError(f"template must have 8 pulses, got {len(template)}")
-    ledger = ControlLedger(step_T=setup.step_T)
-    noise = PulseNoise(setup.noise)
-    result = RunResult(setup=setup, pulses=[], states=[])
-    for _ in range(setup.num_steps):
-        idx = ledger.begin_step()
-        solved = template[idx]
-        applied = noise.perturb(solved)
-        ledger.accumulate(solved, applied)
-        ledger.reset(idx)
-        result.pulses.append(
-            PulseRecord(
-                step=ledger.step,
-                component=idx,
-                solved_I=solved,
-                applied_I=applied,
-                root_residual=float("nan"),
-                bracket=(solved, solved),
-                degenerate=False,
-            )
-        )
-        values = tuple(
-            _bookkept_value(setup, e, ledger.ages[e], ledger.applied[e])
-            for e in range(N_COMPONENTS)
-        )
-        result.states.append(
-            StepState(
-                step=ledger.step,
-                values=values,
-                ages=tuple(ledger.ages),
-                intended_sums=tuple(ledger.intended),
-                applied_sums=tuple(ledger.applied),
-            )
-        )
     return result
 
 

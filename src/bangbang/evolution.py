@@ -9,11 +9,10 @@ the reset, and the maps are evaluated directly at those totals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .kernels import Regime
-from .state import Component, DensityMatrix
+from .state import DensityMatrix
 
 # Thermal off-diagonal variants. "consistent" keeps the zero-control limit
 # rho12 -> rho12 * e^-g exact (identity map at g = I = 0). "folded" reproduces
@@ -21,21 +20,6 @@ from .state import Component, DensityMatrix
 # contradicts that limit (rho12 -> Re+Im at g = I = 0); kept for comparison.
 THERMAL_CONSISTENT = "consistent"
 THERMAL_FOLDED = "folded"
-
-
-@dataclass(frozen=True)
-class EvolutionInput:
-    """State at the element's last reset plus accumulated (g, I) since then."""
-
-    rho0: DensityMatrix
-    g: float
-    pulse_area: float
-
-    def __post_init__(self):
-        if self.g < 0:
-            raise ValueError(f"g must be >= 0, got {self.g!r}")
-        if not math.isfinite(self.pulse_area):
-            raise ValueError(f"pulse_area must be finite, got {self.pulse_area!r}")
 
 
 def evolve_adiabatic(rho0: DensityMatrix, g: float, pulse_area: float) -> DensityMatrix:
@@ -121,21 +105,14 @@ def zero_control(rho0: DensityMatrix, g: float, regime: Regime) -> DensityMatrix
     return zero_control_thermal(rho0, g)
 
 
-def component_response(
-    idx: Component,
-    rho0: DensityMatrix,
-    g: float,
-    regime: Regime,
-    variant: str = THERMAL_CONSISTENT,
-) -> Callable[[float], float]:
-    """Scalar response I -> component(evolve(rho0, g, I), idx).
+def harmonic_coefficients(response: Callable[[float], float]) -> tuple[float, float, float]:
+    """(A, B, C) with response(I) = A + B cos 2I + C sin 2I, from three evaluations.
 
-    This is the single source of truth the pulse solver inverts; it evaluates
-    the full map rather than re-deriving per-component formulas.
+    Every component of every map above has this form in the pulse area: the
+    adiabatic map through c^2 = (1 + cos 2I)/2, s^2 = (1 - cos 2I)/2 and
+    cs = sin 2I / 2, the thermal map (either variant) directly. Sampling at
+    I = +-pi/4 makes C exact even though cos(2 * fl(pi/4)) is not exactly 0.
     """
-    idx = Component(idx)
-
-    def response(pulse_area: float) -> float:
-        return evolve(rho0, g, pulse_area, regime, variant=variant).component(idx)
-
-    return response
+    f0, fp, fm = response(0.0), response(math.pi / 4.0), response(-math.pi / 4.0)
+    b = f0 - 0.5 * (fp + fm)
+    return f0 - b, b, 0.5 * (fp - fm)

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import control
-from .control import RunResult, RunSetup, SolverConfig, StabilizationReport
+from .control import ROOT_TOL, RunResult, RunSetup, StabilizationReport
 from .evolution import THERMAL_CONSISTENT, THERMAL_FOLDED, zero_control
 from .kernels import ModelParams, QuadratureConfig, Regime, tabulate_kernel
 from .noise import RNG_ALGORITHM, NoiseConfig
@@ -37,7 +37,7 @@ class ScenarioConfig:
     c1: complex = complex(0.0, 1.0 / math.sqrt(2.0))
     c2: complex = complex(1.0 / math.sqrt(2.0), 0.0)
     noise: NoiseConfig = NoiseConfig()
-    solver: SolverConfig = SolverConfig()
+    root_tol: float = ROOT_TOL
     quad: QuadratureConfig = QuadratureConfig()
     hermitize: bool = False
     thermal_offdiag: str = THERMAL_CONSISTENT
@@ -46,8 +46,10 @@ class ScenarioConfig:
     overridden: tuple[str, ...] = ()
 
     def validate(self) -> "ScenarioConfig":
-        if self.step_T <= 0:
-            raise ConfigError(f"step_T must be > 0, got {self.step_T!r}")
+        for name in ("step_T", "root_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
         if self.num_steps < 1:
             raise ConfigError(f"num_steps must be >= 1, got {self.num_steps!r}")
         if self.thermal_offdiag not in (THERMAL_CONSISTENT, THERMAL_FOLDED):
@@ -55,15 +57,14 @@ class ScenarioConfig:
                 f"thermal_offdiag must be '{THERMAL_CONSISTENT}' or '{THERMAL_FOLDED}', "
                 f"got {self.thermal_offdiag!r}"
             )
+        if not all(map(math.isfinite, (self.c1.real, self.c1.imag, self.c2.real, self.c2.imag))):
+            raise ConfigError(f"initial amplitudes must be finite, got {self.c1!r}, {self.c2!r}")
         norm = abs(self.c1) ** 2 + abs(self.c2) ** 2
         if abs(norm - 1.0) > 1e-12:
             raise ConfigError(
                 f"initial state not normalized: |c1|^2+|c2|^2 = {norm!r}"
             )
-        try:
-            self.model_params()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        self.model_params()
         return self
 
     def model_params(self) -> ModelParams:
@@ -141,9 +142,6 @@ def _apply_overrides(cfg: ScenarioConfig, overrides: dict, reject_none: bool = F
         elif key == "seed":
             cfg = replace(cfg, noise=replace(cfg.noise, seed=int(value)))
             continue
-        elif key == "root_tol":
-            cfg = replace(cfg, solver=replace(cfg.solver, root_tol=float(value)))
-            continue
         elif key in ("rel_tol", "abs_tol", "upper_cut_multiplier", "singular_halfwidth"):
             cfg = replace(cfg, quad=replace(cfg.quad, **{key: float(value)}))
             continue
@@ -181,9 +179,15 @@ def load_config(path: str | None = None, preset: str | None = None, **overrides)
             raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError(f"config file {path!r} must hold a JSON object")
-        cfg = _apply_overrides(cfg, file_values, reject_none=True)
-    cfg = _apply_overrides(cfg, overrides)
-    return cfg.validate()
+    try:
+        if path is not None:
+            cfg = _apply_overrides(cfg, file_values, reject_none=True)
+        return _apply_overrides(cfg, overrides).validate()
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # NoiseConfig, ModelParams and the value conversions reject bad fields
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -235,7 +239,7 @@ def _metadata(cfg: ScenarioConfig) -> dict:
         "delta_I": cfg.noise.delta_I,
         "seed": cfg.noise.seed,
         "rng": RNG_ALGORITHM,
-        "root_tol": cfg.solver.root_tol,
+        "root_tol": cfg.root_tol,
         "quad_rel_tol": cfg.quad.rel_tol,
         "quad_abs_tol": cfg.quad.abs_tol,
         "upper_cut_multiplier": cfg.quad.upper_cut_multiplier,
@@ -260,7 +264,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         step_T=cfg.step_T,
         num_steps=cfg.num_steps,
         g_table=g_table,
-        solver=cfg.solver,
+        root_tol=cfg.root_tol,
         noise=cfg.noise,
         thermal_variant=cfg.thermal_offdiag,
         hermitize=cfg.hermitize,

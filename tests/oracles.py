@@ -59,7 +59,7 @@ def g_thermal_oracle(tau, gamma=1.0, omega_c=10.0, beta0=1.0, omega12=1.0,
         pos = x > 0
         w = x[pos]
         d = omega12 - w
-        y[pos] = (1.0 - np.cos(d * tau)) / (d * d) * smooth(w)
+        y[pos] = 2.0 * np.sin(0.5 * d * tau) ** 2 / (d * d) * smooth(w)   # 1 - cos, without cancellation
         return _simpson(y, x)
 
     lo = omega12 - window

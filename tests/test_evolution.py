@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from bangbang import (
     Component,
     DensityMatrix,
-    EvolutionInput,
     Regime,
-    component_response,
     evolve,
     evolve_adiabatic,
     evolve_thermal,
+    harmonic_coefficients,
     zero_control_adiabatic,
     zero_control_thermal,
 )
@@ -179,28 +178,34 @@ def test_pi_periodicity(rho, g, pulse):
 
 
 def test_component_response_equals_full_map():
+    # every component of every map is exactly A + B cos 2I + C sin 2I
     import random
 
     rnd = random.Random(7)
-    for regime in (Regime.ADIABATIC, Regime.THERMAL):
-        for idx in range(8):
-            resp = component_response(Component(idx), FIG, 0.8, regime)
-            for _ in range(20):
-                pulse = rnd.uniform(-math.pi, math.pi)
-                assert resp(pulse) == evolve(FIG, 0.8, pulse, regime).component(idx)
+    states = [FIG] + [
+        DensityMatrix.from_pure_state(cmath.exp(1j * rnd.uniform(0, 6.3)) * math.sqrt(p),
+                                      math.sqrt(1.0 - p))
+        for p in (0.1, 0.6, 0.9)
+    ]
+    maps = [(Regime.ADIABATIC, THERMAL_CONSISTENT), (Regime.THERMAL, THERMAL_CONSISTENT),
+            (Regime.THERMAL, THERMAL_FOLDED)]
+    for rho in states:
+        for regime, variant in maps:
+            for idx in range(8):
+                def response(pulse):
+                    return evolve(rho, 0.8, pulse, regime, variant=variant).component(idx)
+
+                a, b, c = harmonic_coefficients(response)
+                for _ in range(20):
+                    pulse = rnd.uniform(-math.pi, math.pi)
+                    fitted = a + b * math.cos(2.0 * pulse) + c * math.sin(2.0 * pulse)
+                    assert abs(fitted - response(pulse)) <= 1e-15
 
 
 def test_component_response_example_idx3():
-    # response at I=0 is e^-g * Im rho12(0) for the figure state
+    # Im rho12 of the figure state is e^-g Im rho12(0) cos 2I: (A, B, C) = (0, e^-g/2, 0)
     for g in (0.0, 0.7, 2.0):
-        resp = component_response(Component.RHO12_IM, FIG, g, Regime.ADIABATIC)
-        assert resp(0.0) == pytest.approx(0.5 * math.exp(-g), abs=1e-15)
-
-
-def test_evolution_input_validation():
-    with pytest.raises(ValueError, match="g"):
-        EvolutionInput(FIG, -0.1, 0.0)
-    with pytest.raises(ValueError, match="pulse_area"):
-        EvolutionInput(FIG, 0.0, math.inf)
-    ok = EvolutionInput(FIG, 1.0, 0.5)
-    assert ok.g == 1.0
+        coefs = harmonic_coefficients(
+            lambda pulse: evolve(FIG, g, pulse, Regime.ADIABATIC).component(Component.RHO12_IM)
+        )
+        assert coefs == pytest.approx((0.0, 0.5 * math.exp(-g), 0.0), abs=1e-15)

@@ -15,6 +15,7 @@ from bangbang import (
     tabulate_kernel,
 )
 from bangbang.kernels import oscillation_factor, thermal_integrand
+from oracles import g_thermal_oracle
 
 # Frozen reference values from an independent composite-Simpson evaluation
 # (4.8M panels, upper cut 80*omega_c; successive refinements agree to ~1e-15).
@@ -77,6 +78,14 @@ def test_thermal_matches_frozen_oracle():
     for (tau, beta0), expected in FROZEN_TH.items():
         got = g_thermal(tau, params(Regime.THERMAL, beta0=beta0))
         assert got == pytest.approx(expected, rel=1e-8)
+
+
+def test_thermal_matches_simpson_oracle_at_small_tau():
+    # the live-control grids use tau down to 1e-5, where 1 - cos(d tau) would
+    # cancel; the oracle writes it as 2 sin^2(d tau / 2)
+    for tau in (1e-5, 1e-4):
+        got = g_thermal(tau, params(Regime.THERMAL))
+        assert got == pytest.approx(g_thermal_oracle(tau), rel=1e-10)
 
 
 def test_gamma_linearity_is_exact():

@@ -244,3 +244,21 @@ def test_cli_no_root_exit_code(tmp_path, capsys):
 def test_cli_config_error_exit_code(capsys):
     assert main(["run", "--gamma", "-3"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--initial", "nan,0,1,0"],
+    ["--step-T", "nan"],
+    ["--step-T", "inf"],
+    ["--seed", "-1"],
+    ["--noise-delta", "nan"],
+    ["--out", "{tmp}/missing-dir/x.csv"],
+], ids=["initial-nan", "step-T-nan", "step-T-inf", "seed-negative", "noise-delta-nan",
+        "out-unwritable"])
+def test_cli_boundary_inputs_fail_with_one_line(extra, tmp_path, capsys):
+    args = ["run", "--preset", "fig1a", "--gamma", "0", "--num-steps", "8"]
+    code = main(args + [a.replace("{tmp}", str(tmp_path)) for a in extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
