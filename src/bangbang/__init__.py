@@ -27,13 +27,10 @@ from .evolution import (
 )
 from .kernels import (
     ModelParams,
-    QuadratureConfig,
-    QuadratureError,
     Regime,
     g_adiabatic,
     g_kernel,
     g_thermal,
-    spectral_function,
     tabulate_kernel,
 )
 from .noise import NoiseConfig, PulseNoise

@@ -6,7 +6,6 @@ import argparse
 import sys
 
 from .control import NoRootInInterval
-from .kernels import QuadratureError
 from .runner import PRESETS, ConfigError, export_csv, load_config, run_scenario
 
 EXIT_OK = 0
@@ -70,9 +69,6 @@ def _run(args: argparse.Namespace) -> int:
         result = run_scenario(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except QuadratureError as exc:
-        print(f"kernel quadrature failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
     if cfg.out:

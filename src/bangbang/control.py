@@ -9,6 +9,8 @@ accumulated pulses since each component's last exact restoration.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .evolution import THERMAL_CONSISTENT, evolve, harmonic_coefficients
@@ -39,7 +41,7 @@ class PulseSolution:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PulseRecord:
     step: int
     component: Component
@@ -47,6 +49,30 @@ class PulseRecord:
     applied_I: float
     root_residual: float
     degenerate: bool = False
+
+
+class PulseLog(Sequence):
+    """A run's pulse records as one flat array of (solved_I, applied_I, root_residual,
+    degenerate): a caller that keeps many runs holds 32 bytes a record, not an object and
+    three floats. Record i is rebuilt on access as step i + 1, component i mod 8."""
+
+    def __init__(self):
+        self._values = array("d")
+
+    def append(self, record: PulseRecord) -> None:
+        self._values.extend((record.solved_I, record.applied_I, record.root_residual,
+                             record.degenerate))
+
+    def __len__(self) -> int:
+        return len(self._values) // 4
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        solved, applied, residual, degenerate = self._values[4 * i:4 * i + 4]
+        return PulseRecord(i + 1, Component(i % N_COMPONENTS), solved, applied, residual,
+                           degenerate == 1.0)
 
 
 @dataclass
@@ -141,16 +167,18 @@ class RunSetup:
     hermitize: bool = False
 
     def __post_init__(self):
-        if self.step_T <= 0:
-            raise ValueError(f"step_T must be > 0, got {self.step_T!r}")
-        if not self.root_tol > 0:
-            raise ValueError(f"root_tol must be > 0, got {self.root_tol!r}")
+        for name in ("step_T", "root_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if self.num_steps < 1:
             raise ValueError(f"num_steps must be >= 1, got {self.num_steps!r}")
         if len(self.g_table) < self.num_steps + 1:
             raise ValueError(
                 f"g_table must cover ages 0..{self.num_steps}, got {len(self.g_table)} entries"
             )
+        if not all(map(math.isfinite, self.g_table)):
+            raise ValueError("g_table entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -167,7 +195,7 @@ class StepState:
 @dataclass
 class RunResult:
     setup: RunSetup
-    pulses: list[PulseRecord]
+    pulses: PulseLog
     states: list[StepState]
     aborted_at: int | None = None
     error: str | None = None
@@ -251,7 +279,7 @@ def run(setup: RunSetup, template=None) -> RunResult:
             raise ValueError(f"template must have 8 pulses, got {len(template)}")
     ledger = ControlLedger()
     noise = PulseNoise(setup.noise)
-    result = RunResult(setup=setup, pulses=[], states=[])
+    result = RunResult(setup=setup, pulses=PulseLog(), states=[])
     for _ in range(setup.num_steps):
         try:
             record, state = step(ledger, setup, noise, template)
@@ -276,7 +304,7 @@ class StabilizationReport:
     template: tuple[float, ...]        # the 8 applied pulses of that cycle
 
 
-def detect_stabilization(pulses: list[PulseRecord], tol: float = 1e-6) -> StabilizationReport:
+def detect_stabilization(pulses: Sequence[PulseRecord], tol: float = 1e-6) -> StabilizationReport:
     """Earliest cycle c with |I(k) - I(k+8)| <= tol for every step k in cycles >= c.
 
     Judged on the pulses as applied, so noisy runs do not spuriously report a

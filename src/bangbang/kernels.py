@@ -1,15 +1,19 @@
-"""Decoherence kernels: spectral weight and the dephasing/dissipation exponents.
+"""Decoherence kernels: the dephasing and dissipation exponents of the boson bath.
 
-Both kernels are improper oscillatory integrals over the bath frequency. They
-are evaluated with composite Gauss-Legendre panels sized to resolve the
-(1 - cos omega*tau) oscillation, truncated where the exponential cutoff makes
-the tail negligible, with panel doubling until two successive estimates agree.
+With coth(x/2) = 1 + 2 sum_k e^(-k x), every integral over the bath spectrum
+omega^(n-2) e^(-omega/omega_c) coth(beta0 omega/2) is a Matsubara series over
+a_k = 1/omega_c + k beta0, w_0 = 1, w_k = 2 (Leggett et al., Rev. Mod. Phys. 59, 1
+(1987); Breuer & Petruccione, The Theory of Open Quantum Systems (2002), ch. 4):
+    adiabatic  g(tau) = gamma sum_k w_k Re[phi_p(a_k) - phi_p(a_k - i tau)],  p = n - 1,
+    thermal    g(tau) = gamma int_0^tau (tau - s) Re[e^(-i omega12 s) C(s)] ds,
+               C(s) = sum_k w_k phi_4(a_k - i s),
+with phi_m(x) = Gamma(m) x^-m, phi_0 = -log x, phi_-1 = x log x - x, so phi_m' = -phi_(m+1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -27,7 +31,7 @@ class ModelParams:
 
     regime: Regime = Regime.ADIABATIC
     gamma: float = 1.0      # dimensionless decoherence strength, >= 0
-    n: int = 3              # bath dimensionality; integrand integrable for n >= 1
+    n: int = 3              # bath dimensionality (adiabatic only; thermal is n = 3)
     omega_c: float = 10.0   # spectral cutoff frequency
     beta0: float = 1.0      # dimensionless inverse temperature (opaque scale)
     omega12: float = 1.0    # level splitting; enters the thermal kernel only
@@ -46,218 +50,111 @@ class ModelParams:
             raise ValueError(f"n must be >= 1 for an integrable kernel, got {self.n!r}")
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    upper_cut_multiplier: float = 40.0   # e^-40 < 1e-17: tail below double precision
-    singular_halfwidth: float | None = None  # defaults to 1e-3 * omega12 at use site
-    max_doublings: int = 10
-
-    def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "upper_cut_multiplier"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        if self.singular_halfwidth is not None and self.singular_halfwidth <= 0:
-            raise ValueError(
-                f"singular_halfwidth must be > 0, got {self.singular_halfwidth!r}"
-            )
-
-    def halfwidth(self, omega12: float) -> float:
-        return self.singular_halfwidth if self.singular_halfwidth is not None else 1e-3 * omega12
+_DIRECT = 16
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+# series row orders: 16 direct terms, then the Euler-Maclaurin tail at a_16 (see _series)
+_ORDER = np.array([0] * _DIRECT + [-1, 0] + [2 * j - 1 for j in range(1, len(_BERNOULLI) + 1)])
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+_CHUNK = 4096            # series arguments per integrand call, to bound its temporaries
+_MAX_PANELS = 1 << 16    # whole panels of the thermal s-partition
 
 
-class QuadratureError(RuntimeError):
-    """Panel doubling exhausted without meeting tolerance; carries the best estimate."""
-
-    def __init__(self, message: str, estimate: float, error_bound: float):
-        super().__init__(f"{message} (estimate {estimate!r}, error bound {error_bound:.3e})")
-        self.estimate = estimate
-        self.error_bound = error_bound
-
-
-def spectral_function(omega: float, n: int, omega_c: float) -> float:
-    """Bath spectral weight omega^(n-2) * exp(-omega/omega_c)."""
-    if omega < 0:
-        raise ValueError(f"omega must be >= 0, got {omega!r}")
-    if omega == 0.0:
-        if n < 2:
-            raise ValueError(f"spectral weight diverges at omega=0 for n={n} < 2")
-        return 1.0 if n == 2 else 0.0
-    return omega ** (n - 2) * math.exp(-omega / omega_c)
+def _polar(p: int, x: np.ndarray, t: np.ndarray):
+    """Row orders m = p + _ORDER, Gamma(m) x^-m (0 for m <= 0), u = t/x, log1p(u^2), arctan u."""
+    m = (p + _ORDER)[:, None]
+    gamma_m = np.array([math.gamma(k) if k > 0 else 0.0 for k in m.ravel()])[:, None]
+    u = t / x
+    return m, gamma_m * x ** -m, u, np.log1p(u * u), np.arctan(u)
 
 
-def coth_half(x: np.ndarray) -> np.ndarray:
-    """coth(x/2) for x > 0, with the Laurent form 2/x + x/6 below x/2 < 1e-4."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x < 2e-4
-    xs = x[small]
-    out[small] = 2.0 / xs + xs / 6.0
-    out[~small] = 1.0 / np.tanh(0.5 * x[~small])
-    return out
+def _series(integrand, t: np.ndarray, params: ModelParams) -> np.ndarray:
+    """sum_k w_k F_0(a_k) at every t, from the rows F_m `integrand` evaluates. As
+    F_m' = -F_(m+1), Euler-Maclaurin gives sum_(k>=16) F_0(a_k) = F_-1(a_16)/beta0
+    + F_0(a_16)/2 + sum_j B_2j/(2j)! beta0^(2j-1) F_(2j-1)(a_16)."""
+    b = params.beta0
+    x = 1.0 / params.omega_c + b * np.minimum(np.arange(_ORDER.size), _DIRECT)
+    weights = [1.0] + [2.0] * (_DIRECT - 1) + [2.0 / b, 1.0] + [
+        2.0 * B * b ** (2 * j - 1) / math.factorial(2 * j) for j, B in enumerate(_BERNOULLI, 1)]
+    total = np.zeros(t.shape)
+    for lo in range(0, t.size, _CHUNK):
+        part = t[lo:lo + _CHUNK]
+        rows = integrand(np.repeat(x[:, None], part.size, axis=1), part, params)
+        for w, row in zip(weights, rows):
+            total[lo:lo + _CHUNK] += w * row
+    return total
 
 
-def oscillation_factor(x: np.ndarray, tau: float, halfwidth: float) -> np.ndarray:
-    """(1 - cos(x*tau)) / x^2, with the removable zero at x=0 handled by series.
-
-    Outside the window |x| <= halfwidth the stable half-angle form
-    2*sin^2(x*tau/2)/x^2 is used; inside, the even series
-    tau^2/2 - x^2 tau^4/24 + x^4 tau^6/720.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) <= halfwidth
-    xs = x[small]
-    t2 = tau * tau
-    out[small] = t2 / 2.0 - xs * xs * t2 * t2 / 24.0 + xs ** 4 * t2 ** 3 / 720.0
-    xb = x[~small]
-    s = np.sin(0.5 * xb * tau)
-    out[~small] = 2.0 * s * s / (xb * xb)
-    return out
+def adiabatic_integrand(x: np.ndarray, tau: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Series rows Re[phi_m(x) - phi_m(x - i tau)] of the dephasing exponent, m = n - 1 + order:
+    Gamma(m) x^-m [-expm1(-m L/2) + 2 (1 + u^2)^(-m/2) sin^2(m psi/2)] for m >= 1, L/2 for
+    m = 0, x (u psi - L/2) for m = -1, with u = tau/x, L = log(1 + u^2), psi = arctan u.
+    Each is a sum of non-negative terms, so small tau does not cancel."""
+    m, power, u, L, psi = _polar(params.n - 1, x, tau)
+    power = power * (2.0 * np.exp(-0.5 * m * L) * np.sin(0.5 * m * psi) ** 2
+                     - np.expm1(-0.5 * m * L))
+    return power + np.where(m == 0, 0.5 * L, 0.0) + np.where(m == -1, x * (u * psi - 0.5 * L), 0.0)
 
 
-def adiabatic_integrand(omega: np.ndarray, tau: float, params: ModelParams) -> np.ndarray:
-    """gamma * G(omega) * (1 - cos omega tau) * coth(beta0 omega / 2), elementwise."""
-    omega = np.asarray(omega, dtype=float)
-    out = np.zeros_like(omega)
-    pos = omega > 0
-    w = omega[pos]
-    s = np.sin(0.5 * w * tau)
-    out[pos] = (
-        params.gamma
-        * w ** (params.n - 2)
-        * np.exp(-w / params.omega_c)
-        * 2.0
-        * s
-        * s
-        * coth_half(params.beta0 * w)
-    )
-    # omega -> 0 limit: ~ omega^(n-1) * tau^2 / beta0; nonzero only for n = 1
-    if params.n == 1 and np.any(~pos):
-        out[~pos] = params.gamma * tau * tau / params.beta0
-    return out
+def thermal_integrand(x: np.ndarray, s: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Series rows Re[e^(-i omega12 s) phi_m(x - i s)] of the thermal integrand, m = 4 + order,
+    as (x - i s)^-m = x^-m (1 + u^2)^(-m/2) e^(i m arctan u) with u = s/x."""
+    m, power, _, L, psi = _polar(4, x, s)
+    return power * np.exp(-0.5 * m * L) * np.cos(m * psi - params.omega12 * s)
 
 
-def thermal_integrand(
-    omega: np.ndarray, tau: float, params: ModelParams, quad: QuadratureConfig = QuadratureConfig()
-) -> np.ndarray:
-    """gamma * (1-cos[(w12-w)tau])/(w12-w)^2 * w^3 coth(beta0 w/2) e^(-w/wc)."""
-    omega = np.asarray(omega, dtype=float)
-    out = np.zeros_like(omega)
-    pos = omega > 0
-    w = omega[pos]
-    out[pos] = (
-        params.gamma
-        * oscillation_factor(params.omega12 - w, tau, quad.halfwidth(params.omega12))
-        * w ** 3
-        * coth_half(params.beta0 * w)
-        * np.exp(-w / params.omega_c)
-    )
-    return out
+def _thermal(taus: np.ndarray, params: ModelParams) -> np.ndarray:
+    """int_0^tau (tau - s) h(s) ds, h the thermal integrand: tau H0 - H1 over the whole panels
+    below tau, plus the rest up to tau. A panel is as wide as its distance to C's nearest pole,
+    s = -i/omega_c, and at most one period of e^(-i omega12 s): a partition fixed by the model."""
+    edges = [0.0]
+    while edges[-1] < taus[-1]:
+        if len(edges) > _MAX_PANELS:
+            raise ValueError(f"over {_MAX_PANELS} thermal panels up to tau = {taus[-1]:g}")
+        edges.append(edges[-1] + min(max(1.0 / params.omega_c, edges[-1]),
+                                     2.0 * math.pi / params.omega12))
+    edges = np.array(edges)
+    last = np.searchsorted(edges, taus, side="right") - 1
+    lo = np.concatenate([edges[:-1], edges[last]])
+    half = 0.5 * (np.concatenate([edges[1:], taus]) - lo)
+    s = (lo + half)[:, None] + half[:, None] * _GL_X
+    h = _series(thermal_integrand, s.ravel(), params).reshape(s.shape) * half[:, None] * _GL_W
+    whole = edges.size - 1
+    h0 = np.concatenate([[0.0], np.cumsum(h[:whole].sum(axis=1))])
+    h1 = np.concatenate([[0.0], np.cumsum((h[:whole] * s[:whole]).sum(axis=1))])
+    return taus * h0[last] - h1[last] + ((taus[:, None] - s[whole:]) * h[whole:]).sum(axis=1)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+@lru_cache(maxsize=32)
+def _table(taus: tuple[float, ...], params: ModelParams) -> tuple[float, ...]:
+    t = np.array(taus)
+    with np.errstate(all="ignore"):   # an overflow shows as a non-finite value below
+        g = params.gamma * (_series(adiabatic_integrand, t, params)
+                            if params.regime is Regime.ADIABATIC else _thermal(t, params))
+    if not np.isfinite(g).all():
+        raise ValueError(f"kernel is not finite for {params}")
+    return tuple(g.tolist())
 
 
-def _gauss_composite(f, a: float, b: float, n_panels: int) -> float:
-    edges = np.linspace(a, b, n_panels + 1)
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = centers[:, None] + half[:, None] * _GL_NODES[None, :]
-    y = f(x.ravel()).reshape(n_panels, _GL_NODES.size)
-    return float(np.sum(half * (y * _GL_WEIGHTS[None, :]).sum(axis=1)))
-
-
-def _integrate_oscillatory(f, a: float, b: float, tau: float, omega_c: float,
-                           quad: QuadratureConfig) -> float:
-    """Composite GL with panel width <= min(omega_c, pi/tau)/4, doubled to convergence."""
-    if b <= a:
-        return 0.0
-    width = min(omega_c, math.pi / tau if tau > 0 else math.inf) / 4.0
-    n0 = max(4, math.ceil((b - a) / width))
-    prev = _gauss_composite(f, a, b, n0)
-    bound = math.inf
-    for k in range(1, quad.max_doublings + 1):
-        cur = _gauss_composite(f, a, b, n0 * 2 ** k)
-        bound = abs(cur - prev)
-        if bound <= max(quad.abs_tol, quad.rel_tol * abs(cur)):
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"no convergence after {quad.max_doublings} panel doublings on [{a:g}, {b:g}]",
-        estimate=prev,
-        error_bound=bound,
-    )
-
-
-@lru_cache(maxsize=65536)
-def _g_adiabatic_unit(tau: float, n: int, omega_c: float, beta0: float,
-                      quad: QuadratureConfig) -> float:
-    # gamma == 1; the prefactor is applied by the caller so linearity in gamma is exact
-    params = ModelParams(regime=Regime.ADIABATIC, gamma=1.0, n=n, omega_c=omega_c, beta0=beta0)
-    cut = quad.upper_cut_multiplier * omega_c
-    return _integrate_oscillatory(
-        lambda w: adiabatic_integrand(w, tau, params), 0.0, cut, tau, omega_c, quad
-    )
-
-
-@lru_cache(maxsize=65536)
-def _g_thermal_unit(tau: float, omega_c: float, beta0: float, omega12: float,
-                    quad: QuadratureConfig) -> float:
-    params = ModelParams(
-        regime=Regime.THERMAL, gamma=1.0, n=3, omega_c=omega_c, beta0=beta0, omega12=omega12
-    )
-    cut = quad.upper_cut_multiplier * omega_c
-    h = quad.halfwidth(omega12)
-    f = lambda w: thermal_integrand(w, tau, params, quad)
-    # split at the series window around omega12 so panel edges align with the splice
-    pieces = [(0.0, max(omega12 - h, 0.0)), (max(omega12 - h, 0.0), min(omega12 + h, cut)),
-              (min(omega12 + h, cut), cut)]
-    return sum(_integrate_oscillatory(f, a, b, tau, omega_c, quad) for a, b in pieces)
-
-
-def g_adiabatic(tau: float, params: ModelParams, quad: QuadratureConfig = QuadratureConfig()) -> float:
-    """Dephasing exponent g_ad(tau); g_ad(0) = 0 exactly, scales linearly in gamma."""
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau!r}")
-    if tau == 0.0 or params.gamma == 0.0:
-        return 0.0
-    return params.gamma * _g_adiabatic_unit(tau, params.n, params.omega_c, params.beta0, quad)
-
-
-def g_thermal(tau: float, params: ModelParams, quad: QuadratureConfig = QuadratureConfig()) -> float:
-    """Dissipation exponent g_th(tau); the integrand's removable singularity at
-    omega12 takes the limit value omega12^3 coth(beta0 omega12/2) e^(-omega12/omega_c) tau^2/2."""
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau!r}")
-    if tau == 0.0 or params.gamma == 0.0:
-        return 0.0
-    return params.gamma * _g_thermal_unit(tau, params.omega_c, params.beta0, params.omega12, quad)
-
-
-def g_kernel(tau: float, params: ModelParams, quad: QuadratureConfig = QuadratureConfig()) -> float:
-    """Regime-dispatched kernel."""
-    if params.regime is Regime.ADIABATIC:
-        return g_adiabatic(tau, params, quad)
-    return g_thermal(tau, params, quad)
-
-
-def tabulate_kernel(taus, params: ModelParams, quad: QuadratureConfig = QuadratureConfig()) -> list[float]:
-    """Pointwise kernel table for a strictly increasing tau grid (cached upstream)."""
-    taus = list(taus)
-    if taus and taus[0] < 0:
-        raise ValueError(f"first tau must be >= 0, got {taus[0]!r}")
+def tabulate_kernel(taus, params: ModelParams) -> list[float]:
+    """The regime's kernel g(tau) on a strictly increasing grid of finite taus >= 0."""
+    taus = tuple(map(float, taus))
+    if not all(math.isfinite(t) and t >= 0 for t in taus):
+        raise ValueError(f"taus must be finite and >= 0, got {taus[:8]!r}")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError("taus must be strictly increasing")
-    out = []
-    for tau in taus:
-        try:
-            out.append(g_kernel(tau, params, quad))
-        except QuadratureError as exc:
-            raise QuadratureError(
-                f"kernel evaluation failed at tau={tau!r}: {exc}",
-                estimate=exc.estimate,
-                error_bound=exc.error_bound,
-            ) from exc
-    return out
+    return list(_table(taus, params)) if taus else []
+
+
+def g_kernel(tau: float, params: ModelParams) -> float:
+    """The regime's kernel at one tau."""
+    return tabulate_kernel([tau], params)[0]
+
+
+def g_adiabatic(tau: float, params: ModelParams) -> float:
+    """Dephasing exponent g_ad(tau); g_ad(0) = 0, linear in gamma."""
+    return g_kernel(tau, replace(params, regime=Regime.ADIABATIC))
+
+
+def g_thermal(tau: float, params: ModelParams) -> float:
+    """Dissipation exponent g_th(tau); g_th(0) = 0, linear in gamma."""
+    return g_kernel(tau, replace(params, regime=Regime.THERMAL))

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 from . import control
 from .control import ROOT_TOL, RunResult, RunSetup, StabilizationReport
 from .evolution import THERMAL_CONSISTENT, THERMAL_FOLDED, zero_control
-from .kernels import ModelParams, QuadratureConfig, Regime, tabulate_kernel
+from .kernels import ModelParams, Regime, tabulate_kernel
 from .noise import RNG_ALGORITHM, NoiseConfig
 from .state import COMPONENT_LABELS, DensityMatrix
 
@@ -38,7 +38,6 @@ class ScenarioConfig:
     c2: complex = complex(1.0 / math.sqrt(2.0), 0.0)
     noise: NoiseConfig = NoiseConfig()
     root_tol: float = ROOT_TOL
-    quad: QuadratureConfig = QuadratureConfig()
     hermitize: bool = False
     thermal_offdiag: str = THERMAL_CONSISTENT
     out: str | None = None
@@ -103,60 +102,50 @@ PRESETS: dict[str, ScenarioConfig] = {
                             noise=NoiseConfig(delta_I=0.1), preset="fig2d", **_FIG_STATE),
 }
 
-_CONFIG_KEYS = {
-    "regime", "gamma", "n", "omega_c", "beta0", "omega12", "step_T", "num_steps",
-    "initial", "delta_I", "seed", "hermitize", "thermal_offdiag", "out",
-    "root_tol", "rel_tol", "abs_tol", "upper_cut_multiplier", "singular_halfwidth",
+
+# configuration key -> type of its value; "initial" holds the four reals c1re, c1im, c2re, c2im
+_KEY_TYPES = {
+    "regime": Regime, "gamma": float, "n": int, "omega_c": float, "beta0": float,
+    "omega12": float, "step_T": float, "num_steps": int, "initial": complex, "delta_I": float,
+    "seed": int, "hermitize": bool, "root_tol": float, "thermal_offdiag": str, "out": str,
 }
+
+
+def _parse(key: str, value, kind: type):
+    """`value` as `kind`: a bool is no number and a number no bool, and an int has no fraction."""
+    if kind is complex:
+        reals = [_parse(key, v, float) for v in value]
+        if len(reals) != 4:
+            raise ConfigError(f"initial must be 4 reals (c1re, c1im, c2re, c2im), got {value!r}")
+        return complex(*reals[:2]), complex(*reals[2:])
+    if (kind is bool) != isinstance(value, bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    if kind is Regime and value not in tuple(Regime):
+        raise ConfigError(f"regime must be 'adiabatic' or 'thermal', got {value!r}")
+    return kind(value)
 
 
 def _apply_overrides(cfg: ScenarioConfig, overrides: dict, reject_none: bool = False) -> ScenarioConfig:
     plain: dict = {}
-    touched: list[str] = []
+    noise: dict = {}
     for key, value in overrides.items():
         if value is None:
             if reject_none:
                 raise ConfigError(f"field {key!r} is null; give it a value or omit it")
             continue
-        if key not in _CONFIG_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"unknown configuration key {key!r}")
-        touched.append(key)
-        if key == "regime":
-            try:
-                plain["regime"] = Regime(value)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"regime must be 'adiabatic' or 'thermal', got {value!r}"
-                ) from exc
-        elif key == "initial":
-            vals = list(value)
-            if len(vals) != 4:
-                raise ConfigError(
-                    f"initial must be 4 reals (c1re, c1im, c2re, c2im), got {value!r}"
-                )
-            plain["c1"] = complex(float(vals[0]), float(vals[1]))
-            plain["c2"] = complex(float(vals[2]), float(vals[3]))
-        elif key == "delta_I":
-            cfg = replace(cfg, noise=replace(cfg.noise, delta_I=float(value)))
-            continue
-        elif key == "seed":
-            cfg = replace(cfg, noise=replace(cfg.noise, seed=int(value)))
-            continue
-        elif key in ("rel_tol", "abs_tol", "upper_cut_multiplier", "singular_halfwidth"):
-            cfg = replace(cfg, quad=replace(cfg.quad, **{key: float(value)}))
-            continue
-        elif key == "num_steps":
-            plain["num_steps"] = int(value)
-        elif key == "n":
-            plain["n"] = int(value)
-        elif key == "hermitize":
-            plain["hermitize"] = bool(value)
-        elif key in ("thermal_offdiag", "out"):
-            plain[key] = str(value)
+        parsed = _parse(key, value, _KEY_TYPES[key])
+        if key == "initial":
+            plain["c1"], plain["c2"] = parsed
+        elif key in ("delta_I", "seed"):
+            noise[key] = parsed
         else:
-            plain[key] = float(value)
-    cfg = replace(cfg, **plain) if plain else cfg
-    return replace(cfg, overridden=tuple(sorted(set(cfg.overridden) | set(touched))))
+            plain[key] = parsed
+    touched = {key for key, value in overrides.items() if value is not None}
+    return replace(cfg, noise=replace(cfg.noise, **noise), **plain,
+                   overridden=tuple(sorted(set(cfg.overridden) | touched)))
 
 
 def load_config(path: str | None = None, preset: str | None = None, **overrides) -> ScenarioConfig:
@@ -240,9 +229,6 @@ def _metadata(cfg: ScenarioConfig) -> dict:
         "seed": cfg.noise.seed,
         "rng": RNG_ALGORITHM,
         "root_tol": cfg.root_tol,
-        "quad_rel_tol": cfg.quad.rel_tol,
-        "quad_abs_tol": cfg.quad.abs_tol,
-        "upper_cut_multiplier": cfg.quad.upper_cut_multiplier,
         "hermitize": cfg.hermitize,
         "thermal_offdiag": cfg.thermal_offdiag,
     }
@@ -256,7 +242,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     cfg.validate()
     params = cfg.model_params()
     taus = [k * cfg.step_T for k in range(cfg.num_steps + 1)]
-    g_table = tuple(tabulate_kernel(taus, params, cfg.quad))
+    try:
+        g_table = tuple(tabulate_kernel(taus, params))
+    except (ValueError, OverflowError) as exc:   # overflow, or too many thermal panels
+        raise ConfigError(f"cannot tabulate the kernel: {exc}") from exc
     rho0 = cfg.initial_state()
     setup = RunSetup(
         rho0=rho0,

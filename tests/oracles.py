@@ -74,3 +74,20 @@ def g_thermal_oracle(tau, gamma=1.0, omega_c=10.0, beta0=1.0, omega12=1.0,
     series = tau ** 2 / 2.0 - d ** 2 * tau ** 4 / 24.0 + d ** 4 * tau ** 6 / 720.0
     total += _simpson(series * smooth(x), x)
     return gamma * total
+
+
+def spectral_moment(m, omega_c=10.0, beta0=1.0, panels=1_200_000, cut_mult=60.0):
+    """Composite-Simpson moment int_0^inf w^m e^(-w/omega_c) coth(beta0 w/2) dw, m >= 1.
+
+    Expanding the cosines in tau, the dephasing kernel is
+    gamma * (tau^2/2 M_n - tau^4/24 M_(n+2) + ...) and the dissipation kernel
+    gamma * (tau^2/2 M_3 - tau^4/24 (M_5 - 2 omega12 M_4 + omega12^2 M_3) + ...).
+    """
+    x = np.linspace(0.0, cut_mult * omega_c, panels + 1)
+    y = np.zeros_like(x)
+    pos = x > 0
+    w = x[pos]
+    y[pos] = w ** m * np.exp(-w / omega_c) * _coth(0.5 * beta0 * w)
+    if m == 1:
+        y[~pos] = 2.0 / beta0
+    return _simpson(y, x)

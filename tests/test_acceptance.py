@@ -162,7 +162,7 @@ def test_replay_oracle(preset_run):
         cfg = result.config
         params = cfg.model_params()
         taus = [k * cfg.step_T for k in range(cfg.num_steps + 1)]
-        table = tabulate_kernel(taus, params, cfg.quad)
+        table = tabulate_kernel(taus, params)
         rho0 = cfg.initial_state()
         last_reset = [0] * 8
         for state in result.run.states:

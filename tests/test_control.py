@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,7 @@ from bangbang import (
     solve_pulse,
     tabulate_kernel,
 )
-from bangbang.control import solve_restoration, step
+from bangbang.control import PulseLog, solve_restoration, step
 from bangbang.noise import PulseNoise
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -210,6 +211,21 @@ def test_run_setup_validation():
         RunSetup(FIG, Regime.ADIABATIC, -1.0, 1, (0.0, 0.1))
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(step_T=math.nan), "step_T"),
+    (dict(step_T=math.inf), "step_T"),
+    (dict(root_tol=math.nan), "root_tol"),
+    (dict(root_tol=math.inf), "root_tol"),
+    (dict(g_table=(0.0, math.nan)), "g_table"),
+    (dict(g_table=(0.0, math.inf)), "g_table"),
+])
+def test_run_setup_rejects_non_finite_values(kwargs, field):
+    values = dict(rho0=FIG, regime=Regime.ADIABATIC, step_T=1.0, num_steps=1,
+                  g_table=(0.0, 0.1)) | kwargs
+    with pytest.raises(ValueError, match=field):
+        RunSetup(**values)
+
+
 # -------------------------------------------------------------- stabilization
 
 def _records(values):
@@ -218,6 +234,24 @@ def _records(values):
                     applied_I=v, root_residual=0.0)
         for k, v in enumerate(values)
     ]
+
+
+def test_pulse_log_returns_the_records_appended():
+    records = [PulseRecord(step=k + 1, component=Component(k % 8), solved_I=0.1 * k - 0.5,
+                           applied_I=0.1 * k - 0.45, root_residual=(-1.0) ** k * 1e-17 * k,
+                           degenerate=k % 3 == 0) for k in range(19)]
+    records[4] = replace(records[4], solved_I=-0.0, root_residual=math.nan)
+    log = PulseLog()
+    for record in records:
+        log.append(record)
+    assert len(log) == 19
+    assert log[-1] == records[-1]
+    assert log[2:17:3] == records[2:17:3]
+    got = log[4]
+    assert math.copysign(1.0, got.solved_I) == -1.0 and math.isnan(got.root_residual)
+    assert [r for k, r in enumerate(log) if k != 4] == records[:4] + records[5:]
+    with pytest.raises(IndexError):
+        log[19]
 
 
 def test_stabilization_zero_run():

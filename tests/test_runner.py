@@ -56,6 +56,43 @@ def test_unknown_key():
         load_config(bogus_knob=3)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("hermitize", "false"),
+    ("hermitize", 1),
+    ("num_steps", 2.7),
+    ("n", 2.7),
+    ("seed", 2.7),
+    ("num_steps", True),
+    ("gamma", True),
+])
+def test_config_file_values_of_the_wrong_type_rejected(field, value, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({field: value}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=field):
+        load_config(path=str(path))
+    assert main(["run", "--config", str(path)]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_integral_float_counts_are_accepted(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"num_steps": 16.0, "hermitize": True}), encoding="utf-8")
+    cfg = load_config(path=str(path))
+    assert cfg.num_steps == 16 and isinstance(cfg.num_steps, int)
+    assert cfg.hermitize is True
+
+
+@pytest.mark.parametrize("key", ["rel_tol", "abs_tol", "upper_cut_multiplier",
+                                 "singular_halfwidth"])
+def test_removed_quadrature_keys_are_unknown(key, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: 1e-10}), encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "unknown configuration key" in err
+
+
 def test_null_field_in_file_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"gamma": None}), encoding="utf-8")
@@ -114,7 +151,7 @@ def test_uncontrolled_column_is_free_decay():
     result = run_scenario(cfg)
     series = result.trajectory.component_series("rho12_im", "uncontrolled")
     for k, value in enumerate(series, start=1):
-        g = g_adiabatic(k * cfg.step_T, cfg.model_params(), cfg.quad)
+        g = g_adiabatic(k * cfg.step_T, cfg.model_params())
         assert value == pytest.approx(0.5 * math.exp(-g), abs=1e-12)
 
 
@@ -253,8 +290,12 @@ def test_cli_config_error_exit_code(capsys):
     ["--seed", "-1"],
     ["--noise-delta", "nan"],
     ["--out", "{tmp}/missing-dir/x.csv"],
+    ["--omega-c", "1e300"],
+    ["--beta0", "1e300"],
+    ["--regime", "thermal", "--omega12", "1e300"],
 ], ids=["initial-nan", "step-T-nan", "step-T-inf", "seed-negative", "noise-delta-nan",
-        "out-unwritable"])
+        "out-unwritable", "kernel-overflow", "series-weight-overflow",
+        "thermal-partition-too-long"])
 def test_cli_boundary_inputs_fail_with_one_line(extra, tmp_path, capsys):
     args = ["run", "--preset", "fig1a", "--gamma", "0", "--num-steps", "8"]
     code = main(args + [a.replace("{tmp}", str(tmp_path)) for a in extra])
