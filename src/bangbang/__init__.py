@@ -1,7 +1,6 @@
 """Bang-bang decoherence control for a single spin-boson qubit."""
 
 from .control import (
-    ControlLedger,
     NoRootInInterval,
     NotStabilized,
     PulseRecord,
@@ -12,7 +11,6 @@ from .control import (
     detect_stabilization,
     run,
     solve_pulse,
-    step,
 )
 from .evolution import (
     THERMAL_CONSISTENT,
@@ -21,6 +19,7 @@ from .evolution import (
     evolve_adiabatic,
     evolve_thermal,
     harmonic_coefficients,
+    harmonic_table,
     zero_control,
     zero_control_adiabatic,
     zero_control_thermal,

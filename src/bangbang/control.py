@@ -1,9 +1,11 @@
 """Cyclic restoration controller.
 
 One component of the density matrix is corrected per time step, in the fixed
-`Component` order, by solving a scalar transcendental equation for the pulse
-area applied at that step. Per-component clocks track decoherence age and
-accumulated pulses since each component's last exact restoration.
+`Component` order, by solving a scalar equation for the pulse area applied at
+that step. A component of decoherence age m responds to the pulse sum S since
+its last exact restoration as A + B cos 2S + C sin 2S, with (A, B, C) fixed by
+g(mT), and no age exceeds 8; so a run reads one harmonic table of ages 0..8
+and keeps, per component, the pulse sums since its last restoration.
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .evolution import THERMAL_CONSISTENT, evolve, harmonic_coefficients
+import numpy as np
+
+from .evolution import THERMAL_CONSISTENT, harmonic_table
 from .kernels import Regime
 from .noise import NoiseConfig, PulseNoise
 from .state import COMPONENT_LABELS, Component, DensityMatrix
@@ -51,78 +55,62 @@ class PulseRecord:
     degenerate: bool = False
 
 
-class PulseLog(Sequence):
-    """A run's pulse records as one flat array of (solved_I, applied_I, root_residual,
-    degenerate): a caller that keeps many runs holds 32 bytes a record, not an object and
-    three floats. Record i is rebuilt on access as step i + 1, component i mod 8."""
+class _Rebuilt(Sequence):
+    """Read-only sequence whose item i is rebuilt by `_item(i)` on access."""
 
-    def __init__(self):
-        self._values = array("d")
-
-    def append(self, record: PulseRecord) -> None:
-        self._values.extend((record.solved_I, record.applied_I, record.root_residual,
-                             record.degenerate))
-
-    def __len__(self) -> int:
-        return len(self._values) // 4
+    __slots__ = ()
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        i = range(len(self))[i]
-        solved, applied, residual, degenerate = self._values[4 * i:4 * i + 4]
-        return PulseRecord(i + 1, Component(i % N_COMPONENTS), solved, applied, residual,
-                           degenerate == 1.0)
+            return [self._item(j) for j in range(len(self))[i]]
+        return self._item(range(len(self))[i])
+
+    def __iter__(self):
+        return map(self._item, range(len(self)))
 
 
-@dataclass
-class ControlLedger:
-    """Per-component decoherence clocks and pulse sums since last restoration.
+class PulseLog(_Rebuilt):
+    """A run's pulse records as columns: one exactly sized array of the solved_I, then the
+    applied_I, then the root_residual values, and one byte per degenerate flag. A caller
+    that keeps many runs holds 25 bytes a record. Record i is rebuilt on access as step
+    i + 1, component i mod 8."""
 
-    `intended` sums the controller's solved pulses (what it plans with);
-    `applied` sums the pulses actually delivered (solved + noise). They agree
-    whenever noise is disabled.
+    __slots__ = ("_values", "_degenerate")
+
+    def __init__(self, solved, applied, residual, degenerate):
+        self._values = array("d", [*solved, *applied, *residual])
+        self._degenerate = bytes(map(bool, degenerate))
+
+    def __len__(self) -> int:
+        return len(self._degenerate)
+
+    def _item(self, i: int) -> PulseRecord:
+        n, v = len(self._degenerate), self._values
+        return PulseRecord(i + 1, Component(i % N_COMPONENTS), v[i], v[n + i], v[2 * n + i],
+                           bool(self._degenerate[i]))
+
+
+def solve_pulse(row, pulse_sum: float, target: float,
+                root_tol: float = ROOT_TOL) -> PulseSolution:
+    """Solve A + B cos 2x + C sin 2x = target, x = pulse_sum + I, for this step's pulse I.
+
+    `row` is the component's (A, B, C) (see `harmonic_coefficients`), so with
+    R = hypot(B, C) a root exists iff |target - A| <= R, and [-pi/2, pi/2] holds
+    one full period. Of the two roots the smallest-magnitude one is returned
+    (ties toward negative), with the residual of the row at it. A response with
+    2R <= root_tol cannot be influenced by the pulse at this step
+    (symmetry-forced components, or coherence factors decayed below
+    resolution): the zero pulse is returned and flagged degenerate. Otherwise a
+    target out of reach raises NoRootInInterval.
     """
+    a, b, c = row
 
-    step: int = 0
-    ages: list[int] = field(default_factory=lambda: [0] * N_COMPONENTS)
-    intended: list[float] = field(default_factory=lambda: [0.0] * N_COMPONENTS)
-    applied: list[float] = field(default_factory=lambda: [0.0] * N_COMPONENTS)
+    def residual(x: float) -> float:
+        return a + b * math.cos(2.0 * x) + c * math.sin(2.0 * x) - target
 
-    def begin_step(self) -> Component:
-        self.step += 1
-        for e in range(N_COMPONENTS):
-            self.ages[e] += 1
-        return Component((self.step - 1) % N_COMPONENTS)
-
-    def accumulate(self, solved: float, applied: float) -> None:
-        for e in range(N_COMPONENTS):
-            self.intended[e] += solved
-            self.applied[e] += applied
-
-    def reset(self, idx: Component) -> None:
-        self.ages[idx] = 0
-        self.intended[idx] = 0.0
-        self.applied[idx] = 0.0
-
-
-def solve_restoration(response, pulse_sum: float, target: float,
-                      root_tol: float = ROOT_TOL) -> PulseSolution:
-    """Solve response(pulse_sum + I) = target exactly for the pulse I of this step.
-
-    The response is A + R cos(2(pulse_sum + I) - phi) (see
-    `harmonic_coefficients`), so [-pi/2, pi/2] holds one full period and a root
-    exists iff |target - A| <= R. Of the two roots the smallest-magnitude one
-    is returned (ties toward negative); the residual is re-evaluated from the
-    response itself. A response with 2R <= root_tol cannot be influenced by the
-    pulse at this step (symmetry-forced components, or coherence factors
-    decayed below resolution): the zero pulse is returned and flagged
-    degenerate. Otherwise a target out of reach raises NoRootInInterval.
-    """
-    a, b, c = harmonic_coefficients(response)
     r = math.hypot(b, c)
     if 2.0 * r <= root_tol:
-        return PulseSolution(value=0.0, residual=response(pulse_sum) - target, degenerate=True)
+        return PulseSolution(value=0.0, residual=residual(pulse_sum), degenerate=True)
     if abs(target - a) > r + root_tol:
         raise NoRootInInterval(
             f"no restoring pulse: response range [{a - r:.6g}, {a + r:.6g}] does not "
@@ -132,24 +120,7 @@ def solve_restoration(response, pulse_sum: float, target: float,
     half = math.acos(min(1.0, max(-1.0, (target - a) / r)))
     roots = (math.remainder(0.5 * (phi + sign * half) - pulse_sum, math.pi) for sign in (-1.0, 1.0))
     value = min(roots, key=lambda x: (abs(x), x))
-    return PulseSolution(value=value, residual=response(pulse_sum + value) - target)
-
-
-def solve_pulse(
-    idx: Component,
-    rho0: DensityMatrix,
-    g_since_reset: float,
-    pulse_sum: float,
-    target: float,
-    root_tol: float = ROOT_TOL,
-    regime: Regime = Regime.ADIABATIC,
-    thermal_variant: str = THERMAL_CONSISTENT,
-) -> PulseSolution:
-    """Restoration solve for one component given its clock state."""
-    def response(pulse_area: float) -> float:
-        return evolve(rho0, g_since_reset, pulse_area, regime, variant=thermal_variant).component(idx)
-
-    return solve_restoration(response, pulse_sum, target, root_tol)
+    return PulseSolution(value=value, residual=residual(pulse_sum + value))
 
 
 @dataclass(frozen=True)
@@ -183,7 +154,7 @@ class RunSetup:
 
 @dataclass(frozen=True)
 class StepState:
-    """Post-step snapshot: bookkept component values and ledger state."""
+    """Post-step snapshot: bookkept component values, ages and pulse sums."""
 
     step: int
     values: tuple[float, ...]
@@ -194,9 +165,16 @@ class StepState:
 
 @dataclass
 class RunResult:
+    """A run's pulses, and after each step s (row s - 1) every component's bookkept value,
+    its age in steps since its last restoration, and the solved (`intended`) and applied
+    pulses summed since then; the two sums agree whenever noise is disabled."""
+
     setup: RunSetup
     pulses: PulseLog
-    states: list[StepState]
+    values: np.ndarray                # (steps, 8), like the three below
+    ages: np.ndarray
+    intended_sums: np.ndarray
+    applied_sums: np.ndarray
     aborted_at: int | None = None
     error: str | None = None
     error_type: type[Exception] | None = None
@@ -205,97 +183,95 @@ class RunResult:
     def completed(self) -> bool:
         return self.aborted_at is None
 
-
-def _bookkept_value(setup: RunSetup, e: int, age: int, applied_sum: float) -> float:
-    rho = evolve(
-        setup.rho0,
-        setup.g_table[age],
-        applied_sum,
-        setup.regime,
-        variant=setup.thermal_variant,
-        hermitize=setup.hermitize,
-    )
-    return rho.component(e)
+    @property
+    def states(self) -> Sequence[StepState]:
+        return _States(self)
 
 
-def step(ledger: ControlLedger, setup: RunSetup, noise: PulseNoise,
-         template: tuple[float, ...] | None = None) -> tuple[PulseRecord, StepState]:
-    """Advance one control step: solve (or take the template's pulse), apply
-    with noise, reset the clock.
+class _States(_Rebuilt):
+    """`RunResult.states`: step i + 1's `StepState`, rebuilt from the run's arrays."""
 
-    The corrected component's clock returns to zero, so its bookkept post-step
-    value is exactly its reference value; every other component ages by one
-    step and absorbs the applied pulse into its running sum.
-    """
-    idx = ledger.begin_step()
-    if template is None:
-        solution = solve_pulse(
-            idx,
-            setup.rho0,
-            setup.g_table[ledger.ages[idx]],
-            ledger.intended[idx],
-            setup.rho0.component(idx),
-            setup.root_tol,
-            setup.regime,
-            setup.thermal_variant,
-        )
-    else:
-        solution = PulseSolution(value=template[idx], residual=math.nan)
-    applied = noise.perturb(solution.value)
-    ledger.accumulate(solution.value, applied)
-    ledger.reset(idx)
-    record = PulseRecord(
-        step=ledger.step,
-        component=idx,
-        solved_I=solution.value,
-        applied_I=applied,
-        root_residual=solution.residual,
-        degenerate=solution.degenerate,
-    )
-    values = tuple(
-        _bookkept_value(setup, e, ledger.ages[e], ledger.applied[e])
-        for e in range(N_COMPONENTS)
-    )
-    state = StepState(
-        step=ledger.step,
-        values=values,
-        ages=tuple(ledger.ages),
-        intended_sums=tuple(ledger.intended),
-        applied_sums=tuple(ledger.applied),
-    )
-    return record, state
+    __slots__ = ("_run",)
+
+    def __init__(self, result: RunResult):
+        self._run = result
+
+    def __len__(self) -> int:
+        return len(self._run.values)
+
+    def _item(self, i: int) -> StepState:
+        r = self._run
+        return StepState(i + 1, *(tuple(x[i].tolist()) for x in
+                                  (r.values, r.ages, r.intended_sums, r.applied_sums)))
 
 
 def run(setup: RunSetup, template=None) -> RunResult:
     """Run the full control loop; abort on the first solver failure, keeping
     the partial trajectory and the failing step.
 
-    With an 8-pulse `template` the pulses are replayed open loop instead of
-    solved (root residual NaN); the bookkeeping is the same.
+    Step s corrects component (s - 1) mod 8 at age min(s, 8): its pulse is
+    solved, applied with noise, and added to every component's sums; then the
+    corrected component's clock returns to zero, so its bookkept value is its
+    reference value. With an 8-pulse `template` the pulses are replayed open
+    loop instead of solved (root residual NaN); the bookkeeping is the same.
     """
     if template is not None:
         template = tuple(float(v) for v in template)
         if len(template) != N_COMPONENTS:
             raise ValueError(f"template must have 8 pulses, got {len(template)}")
-    ledger = ControlLedger()
+    g_ages = setup.g_table[:min(setup.num_steps, N_COMPONENTS) + 1]
+    table = harmonic_table(setup.rho0, g_ages, setup.regime, setup.thermal_variant)
+    rows, targets = table.tolist(), setup.rho0.components()
     noise = PulseNoise(setup.noise)
-    result = RunResult(setup=setup, pulses=PulseLog(), states=[])
-    for _ in range(setup.num_steps):
-        try:
-            record, state = step(ledger, setup, noise, template)
-        except NoRootInInterval as exc:
-            idx = (ledger.step - 1) % N_COMPONENTS
-            result.aborted_at = ledger.step
-            result.error_type = type(exc)
-            result.error = (
-                f"{type(exc).__name__}: step {ledger.step}, "
-                f"component {COMPONENT_LABELS[idx]} "
-                f"(age {ledger.ages[idx]}, pulse sum {ledger.intended[idx]!r}): {exc}"
-            )
-            return result
-        result.pulses.append(record)
-        result.states.append(state)
-    return result
+    intended, applied = [0.0] * N_COMPONENTS, [0.0] * N_COMPONENTS
+    intended_log, applied_log = [], []
+    solved_col, applied_col, residual_col, degenerate_col = [], [], [], []
+    aborted_at = error = error_type = None
+    for s in range(1, setup.num_steps + 1):
+        idx, age = (s - 1) % N_COMPONENTS, min(s, N_COMPONENTS)
+        if template is None:
+            try:
+                solution = solve_pulse(rows[age][idx], intended[idx], targets[idx],
+                                       setup.root_tol)
+            except NoRootInInterval as exc:
+                aborted_at, error_type = s, type(exc)
+                error = (f"{type(exc).__name__}: step {s}, component {COMPONENT_LABELS[idx]} "
+                         f"(age {age}, pulse sum {intended[idx]!r}): {exc}")
+                break
+        else:
+            solution = PulseSolution(value=template[idx], residual=math.nan)
+        pulse = noise.perturb(solution.value)
+        intended = [x + solution.value for x in intended]
+        applied = [x + pulse for x in applied]
+        intended[idx] = applied[idx] = 0.0
+        intended_log.append(intended)
+        applied_log.append(applied)
+        solved_col.append(solution.value)
+        applied_col.append(pulse)
+        residual_col.append(solution.residual)
+        degenerate_col.append(solution.degenerate)
+
+    # after step s, component e was last restored at the latest step r <= s with
+    # r = e + 1 (mod 8), or never (age s)
+    steps = np.arange(1, len(applied_log) + 1)[:, None]
+    e = np.arange(N_COMPONENTS)
+    ages = np.where(steps > e, (steps - 1 - e) % N_COMPONENTS, steps)
+    sums = np.array(applied_log, dtype=float).reshape(-1, N_COMPONENTS)
+    if setup.hermitize:
+        table = harmonic_table(setup.rho0, g_ages, setup.regime, setup.thermal_variant,
+                               hermitize=True)
+    a, b, c = np.moveaxis(table[ages, e], -1, 0)
+    return RunResult(
+        setup=setup,
+        pulses=PulseLog(solved_col, applied_col, residual_col, degenerate_col),
+        values=a + b * np.cos(2.0 * sums) + c * np.sin(2.0 * sums),
+        ages=ages,
+        intended_sums=np.array(intended_log, dtype=float).reshape(-1, N_COMPONENTS),
+        applied_sums=sums,
+        aborted_at=aborted_at,
+        error=error,
+        error_type=error_type,
+    )
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 from .kernels import Regime
 from .state import DensityMatrix
 
@@ -108,6 +110,8 @@ def zero_control(rho0: DensityMatrix, g: float, regime: Regime) -> DensityMatrix
 def harmonic_coefficients(response: Callable[[float], float]) -> tuple[float, float, float]:
     """(A, B, C) with response(I) = A + B cos 2I + C sin 2I, from three evaluations.
 
+    A response that returns an array of components gives arrays, element by element.
+
     Every component of every map above has this form in the pulse area: the
     adiabatic map through c^2 = (1 + cos 2I)/2, s^2 = (1 - cos 2I)/2 and
     cs = sin 2I / 2, the thermal map (either variant) directly. Sampling at
@@ -116,3 +120,22 @@ def harmonic_coefficients(response: Callable[[float], float]) -> tuple[float, fl
     f0, fp, fm = response(0.0), response(math.pi / 4.0), response(-math.pi / 4.0)
     b = f0 - 0.5 * (fp + fm)
     return f0 - b, b, 0.5 * (fp - fm)
+
+
+def harmonic_table(
+    rho0: DensityMatrix,
+    g_values,
+    regime: Regime,
+    variant: str = THERMAL_CONSISTENT,
+    hermitize: bool = False,
+) -> np.ndarray:
+    """(len(g_values), 8, 3) array: entry [k, e] is (A, B, C) of component e at g_values[k].
+
+    A control run meets only ages 0..8, so this table is every map it needs;
+    each age costs three `evolve` calls, combined as in `harmonic_coefficients`.
+    """
+    def response(pulse_area: float) -> np.ndarray:
+        return np.array([evolve(rho0, g, pulse_area, regime, variant, hermitize).components()
+                         for g in g_values])
+
+    return np.stack(harmonic_coefficients(response), axis=-1)

@@ -262,8 +262,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     unitary = rho0.components()
     rows: list[TrajectoryRow] = []
-    for record, state in zip(result.pulses, result.states):
-        s = state.step
+    for s, (record, controlled) in enumerate(zip(result.pulses, result.values.tolist()), 1):
         tau = s * cfg.step_T
         free = zero_control(rho0, g_table[s], cfg.regime).components()
         for e in range(8):
@@ -274,7 +273,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                     component=COMPONENT_LABELS[e],
                     unitary=unitary[e],
                     uncontrolled=free[e],
-                    controlled=state.values[e],
+                    controlled=controlled[e],
                     solved_I=record.solved_I,
                     applied_I=record.applied_I,
                 )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -106,12 +105,3 @@ class DensityMatrix:
     def hermitized(self) -> "DensityMatrix":
         """Force rho21 = conj(rho12); used by the optional hermitize output mode."""
         return DensityMatrix(self.rho11, self.rho12, self.rho12.conjugate(), self.rho22)
-
-    def isclose(self, other: "DensityMatrix", tol: float = 1e-12) -> bool:
-        return all(
-            cmath.isclose(a, b, rel_tol=0.0, abs_tol=tol)
-            for a, b in zip(
-                (self.rho11, self.rho12, self.rho21, self.rho22),
-                (other.rho11, other.rho12, other.rho21, other.rho22),
-            )
-        )

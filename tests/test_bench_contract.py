@@ -8,11 +8,12 @@ without changing it, and check it against the package.
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from bangbang import ModelParams, Regime, tabulate_kernel
+from bangbang import ModelParams, Regime, load_config, run_scenario, tabulate_kernel
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -49,3 +50,22 @@ def test_kernel_table_evaluates_through_the_traced_integrands(regime):
         tracer.uninstall()
     assert tracer.missing == []
     assert tracer.counts.get("kernels.integrand_nodes", 0) > 0
+
+
+def test_a_run_solves_and_perturbs_once_per_step_and_tabulates_its_maps_once():
+    # per-layer counts keep their meaning only while the maps come from one table
+    # per run: three `evolve` calls at each of the ages 0..8, none per step
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        run_scenario(load_config(preset="fig1b", num_steps=24))
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    calls = Counter(tracer.names[i] for i in tracer.name_of)
+    assert calls["control.run"] == 1
+    assert calls["control.solve_pulse"] == 24
+    assert calls["noise.perturb"] == 24
+    assert calls["evolution.evolve"] <= 27

@@ -1,11 +1,12 @@
+import cmath
 import math
+import sys
 from dataclasses import replace
 
 import pytest
 
 from bangbang import (
     Component,
-    ControlLedger,
     DensityMatrix,
     ModelParams,
     NoiseConfig,
@@ -16,12 +17,13 @@ from bangbang import (
     RunSetup,
     detect_stabilization,
     evolve,
+    harmonic_coefficients,
+    harmonic_table,
     run,
     solve_pulse,
     tabulate_kernel,
 )
-from bangbang.control import PulseLog, solve_restoration, step
-from bangbang.noise import PulseNoise
+from bangbang.control import PulseLog
 
 SQ2 = 1.0 / math.sqrt(2.0)
 FIG = DensityMatrix.from_pure_state(1j * SQ2, SQ2)
@@ -45,11 +47,16 @@ def setup_for(rho0, regime, g_table, step_T=1.0, num_steps=None, **kw):
     )
 
 
+def row(rho0, g, idx, regime=Regime.ADIABATIC):
+    """(A, B, C) of component idx at decoherence exponent g, as `run` reads it."""
+    return harmonic_table(rho0, [g], regime)[0, idx].tolist()
+
+
 # ------------------------------------------------------------- solve_pulse
 
 def test_symmetry_forced_root_is_zero():
     # rho11_re equation for the figure state: 1/2 + e^-g sin(2I)/2 = 1/2
-    sol = solve_pulse(Component.RHO11_RE, FIG, 0.3, 0.0, FIG.component(0))
+    sol = solve_pulse(row(FIG, 0.3, Component.RHO11_RE), 0.0, FIG.component(0))
     assert sol.value == pytest.approx(0.0, abs=1e-12)
     assert not sol.degenerate
 
@@ -57,12 +64,12 @@ def test_symmetry_forced_root_is_zero():
 def test_no_root_for_decayed_coherence_target():
     # Im rho12 response from the figure state is bounded by e^-g / 2 < target
     with pytest.raises(NoRootInInterval, match="does not reach"):
-        solve_pulse(Component.RHO12_IM, FIG, 0.5, 0.0, FIG.component(3))
+        solve_pulse(row(FIG, 0.5, Component.RHO12_IM), 0.0, FIG.component(3))
 
 
 def test_degenerate_constant_at_target_returns_zero():
     # rho11_im is identically zero along the pulse axis for a Hermitian state
-    sol = solve_pulse(Component.RHO11_IM, FIG, 0.7, 0.0, FIG.component(1))
+    sol = solve_pulse(row(FIG, 0.7, Component.RHO11_IM), 0.0, FIG.component(1))
     assert sol.degenerate
     assert sol.value == 0.0
     assert abs(sol.residual) <= 1e-12
@@ -71,46 +78,47 @@ def test_degenerate_constant_at_target_returns_zero():
 def test_flat_response_off_target_applies_zero_pulse():
     # with the coherence factor decayed below solver resolution the pulse
     # cannot influence the component at all; the controller moves on with I=0
-    sol = solve_pulse(Component.RHO12_IM, FIG, 50.0, 0.0, FIG.component(3))
+    sol = solve_pulse(row(FIG, 50.0, Component.RHO12_IM), 0.0, FIG.component(3))
     assert sol.degenerate
     assert sol.value == 0.0
     assert sol.residual == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_smallest_magnitude_root_ties_to_negative():
-    sol = solve_restoration(lambda x: math.cos(2.0 * x), 0.0, 0.0)
+    sol = solve_pulse(harmonic_coefficients(lambda x: math.cos(2.0 * x)), 0.0, 0.0)
     assert sol.value == pytest.approx(-math.pi / 4.0, abs=1e-10)
 
 
 def test_offset_root_follows_pulse_sum():
     # response cos(2(base + I)) = 0 with base pi/4: root at I = 0
-    sol = solve_restoration(lambda x: math.cos(2.0 * x), math.pi / 4.0, 0.0)
+    sol = solve_pulse(harmonic_coefficients(lambda x: math.cos(2.0 * x)), math.pi / 4.0, 0.0)
     assert sol.value == pytest.approx(0.0, abs=1e-10)
 
 
 def test_residual_within_tolerance_on_success():
-    sol = solve_restoration(lambda x: math.sin(2.0 * x) + 0.3, 0.0, 0.0)
+    sol = solve_pulse(harmonic_coefficients(lambda x: math.sin(2.0 * x) + 0.3), 0.0, 0.0)
     assert abs(sol.residual) <= 1e-12
     assert math.sin(2.0 * sol.value) + 0.3 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tangent_root_at_scan_node():
     # gamma = 0 coherence equation: cos(2I) = 1 touches zero without crossing
-    sol = solve_restoration(lambda x: math.cos(2.0 * x), 0.0, 1.0)
+    sol = solve_pulse(harmonic_coefficients(lambda x: math.cos(2.0 * x)), 0.0, 1.0)
     assert sol.value == 0.0
     assert not sol.degenerate
 
 
 def test_root_pair_closer_than_old_scan_spacing():
     # roots 0.01 and 0.03 lie 0.02 apart, inside one cell of a pi/64 scan
-    sol = solve_restoration(lambda x: math.cos(2.0 * (x - 0.02)), 0.0, math.cos(0.02))
+    coefs = harmonic_coefficients(lambda x: math.cos(2.0 * (x - 0.02)))
+    sol = solve_pulse(coefs, 0.0, math.cos(0.02))
     assert sol.value == pytest.approx(0.01, abs=1e-12)
     assert not sol.degenerate
 
 
 def test_tangent_root_off_scan_node():
     # the target is the response's maximum, reached only at I = 0.3
-    sol = solve_restoration(lambda x: math.cos(2.0 * (x - 0.3)), 0.0, 1.0)
+    sol = solve_pulse(harmonic_coefficients(lambda x: math.cos(2.0 * (x - 0.3))), 0.0, 1.0)
     assert sol.value == pytest.approx(0.3, abs=1e-12)
     assert abs(sol.residual) <= 1e-15
 
@@ -120,15 +128,15 @@ def test_solver_config_validation():
         RunSetup(FIG, Regime.ADIABATIC, 1.0, 1, (0.0, 0.1), root_tol=0.0)
 
 
-# ------------------------------------------------------------ step / ledger
+# ------------------------------------------------------------------ run
 
 def test_first_step_restores_first_component():
     g_table = linear_g_table(8, 0.002)
-    setup = setup_for(TILTED, Regime.ADIABATIC, g_table)
-    ledger = ControlLedger()
-    record, state = step(ledger, setup, PulseNoise(NoiseConfig()))
-    assert record.component == Component.RHO11_RE
-    assert state.values[0] == pytest.approx(TILTED.component(0), abs=1e-12)
+    setup = setup_for(TILTED, Regime.ADIABATIC, g_table, num_steps=1)
+    result = run(setup)
+    assert [p.component for p in result.pulses] == [Component.RHO11_RE]
+    assert result.values.shape == (1, 8)
+    assert result.values[0, 0] == pytest.approx(TILTED.component(0), abs=1e-12)
 
 
 def test_ledger_pattern_after_full_cycle():
@@ -190,6 +198,29 @@ def test_replay_oracle_from_scratch():
             assert state.values[e] == pytest.approx(expected, abs=1e-12)
 
 
+def test_hermitized_bookkeeping_replays_from_scratch():
+    # the pulses are solved from the plain maps, the values kept from the hermitized ones;
+    # only the folded variant's maps are not Hermitian already
+    rho0 = DensityMatrix.from_pure_state(cmath.exp(0.2j) * 0.6, 0.8)
+    g_table = linear_g_table(20, 0.0015)
+    setup = setup_for(rho0, Regime.THERMAL, g_table, hermitize=True, thermal_variant="folded",
+                      noise=NoiseConfig(delta_I=0.05, seed=3))
+    result = run(setup)
+    plain = run(replace(setup, hermitize=False))
+    assert result.completed
+    assert list(result.pulses) == list(plain.pulses)
+    assert (result.values != plain.values).any()
+    for s, values in enumerate(result.values.tolist(), start=1):
+        for e in range(8):
+            age = int(result.ages[s - 1, e])
+            applied_sum = 0.0
+            for p in result.pulses[s - age:s]:
+                applied_sum += p.applied_I
+            expected = evolve(rho0, g_table[age], applied_sum, Regime.THERMAL,
+                              variant="folded", hermitize=True).component(e)
+            assert values[e] == pytest.approx(expected, abs=1e-15)
+
+
 def test_run_aborts_with_partial_trajectory():
     # constant decoherence too strong for the tilted state's coherence slots
     g_table = (0.0,) + (0.7,) * 16
@@ -241,9 +272,8 @@ def test_pulse_log_returns_the_records_appended():
                            applied_I=0.1 * k - 0.45, root_residual=(-1.0) ** k * 1e-17 * k,
                            degenerate=k % 3 == 0) for k in range(19)]
     records[4] = replace(records[4], solved_I=-0.0, root_residual=math.nan)
-    log = PulseLog()
-    for record in records:
-        log.append(record)
+    log = PulseLog(*zip(*((r.solved_I, r.applied_I, r.root_residual, r.degenerate)
+                          for r in records)))
     assert len(log) == 19
     assert log[-1] == records[-1]
     assert log[2:17:3] == records[2:17:3]
@@ -252,6 +282,16 @@ def test_pulse_log_returns_the_records_appended():
     assert [r for k, r in enumerate(log) if k != 4] == records[:4] + records[5:]
     with pytest.raises(IndexError):
         log[19]
+
+
+def test_pulse_log_is_exactly_sized():
+    # a caller that keeps every run's log keeps these bytes per run
+    result = run(setup_for(TILTED, Regime.ADIABATIC, linear_g_table(80, 1e-4)))
+    log = result.pulses
+    assert result.completed and len(log) == 80
+    assert not hasattr(log, "__dict__")
+    size = sys.getsizeof(log) + sum(sys.getsizeof(buf) for buf in (log._values, log._degenerate))
+    assert size <= 25 * 80 + 300
 
 
 def test_stabilization_zero_run():

@@ -13,6 +13,7 @@ from bangbang import (
     evolve_adiabatic,
     evolve_thermal,
     harmonic_coefficients,
+    harmonic_table,
     zero_control_adiabatic,
     zero_control_thermal,
 )
@@ -209,3 +210,21 @@ def test_component_response_example_idx3():
             lambda pulse: evolve(FIG, g, pulse, Regime.ADIABATIC).component(Component.RHO12_IM)
         )
         assert coefs == pytest.approx((0.0, 0.5 * math.exp(-g), 0.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("regime, variant, hermitize", [
+    (Regime.ADIABATIC, THERMAL_CONSISTENT, False),
+    (Regime.THERMAL, THERMAL_CONSISTENT, False),
+    (Regime.THERMAL, THERMAL_FOLDED, False),
+    (Regime.THERMAL, THERMAL_FOLDED, True),
+])
+def test_harmonic_table_rows_are_the_components_coefficients(regime, variant, hermitize):
+    rho = DensityMatrix.from_pure_state(cmath.exp(0.7j) * 0.6, 0.8)
+    g_values = (0.0, 0.01, 0.4, 3.0)
+    table = harmonic_table(rho, g_values, regime, variant, hermitize)
+    assert table.shape == (4, 8, 3)
+    for k, g in enumerate(g_values):
+        for idx in range(8):
+            coefs = harmonic_coefficients(lambda pulse: evolve(
+                rho, g, pulse, regime, variant=variant, hermitize=hermitize).component(idx))
+            assert tuple(table[k, idx].tolist()) == coefs

@@ -1,7 +1,14 @@
+import contextlib
+import csv
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bangbang import (
     PRESETS,
@@ -303,3 +310,65 @@ def test_cli_boundary_inputs_fail_with_one_line(extra, tmp_path, capsys):
     assert code == 1
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+
+@st.composite
+def cli_inputs(draw):
+    """A run's inputs, at most one of them out of its domain."""
+    # grids, so that the derandomized draws spread over the whole range
+    t = draw(st.integers(0, 20)) / 20.0
+    phase = draw(st.integers(-8, 8)) * math.pi / 8.0
+    values = dict(
+        regime=draw(st.sampled_from(["adiabatic", "thermal"])),
+        step_T=10.0 ** (draw(st.integers(-60, 10)) / 10.0),
+        num_steps=draw(st.integers(1, 16)),
+        gamma=draw(st.floats(0.0, 5.0)),
+        delta_I=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2 ** 64 - 1)),
+        initial=[math.sqrt(t) * math.cos(phase), math.sqrt(t) * math.sin(phase),
+                 math.sqrt(1.0 - t), 0.0],
+    )
+    broken = draw(st.sampled_from([None, None, None, "gamma", "delta_I", "seed", "initial"]))
+    if broken == "initial":   # unnormalised, negative, NaN or inf amplitudes
+        values["initial"] = draw(st.lists(st.one_of(
+            st.floats(-2.0, 2.0), st.sampled_from([math.nan, math.inf, -math.inf])),
+            min_size=4, max_size=4))
+    elif broken == "seed":
+        values["seed"] = draw(st.sampled_from([-1, 2 ** 64]))
+    elif broken is not None:
+        values[broken] = draw(st.sampled_from([-0.5, math.nan, math.inf]))
+    return values
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(cli_inputs())
+@example(dict(regime="adiabatic", step_T=0.5, num_steps=8, gamma=1.0, delta_I=0.0, seed=1,
+              initial=[0.0, math.sqrt(0.8), math.sqrt(0.2), 0.0]))   # aborts: exit 2
+@example(dict(regime="thermal", step_T=5e-5, num_steps=16, gamma=1.0, delta_I=0.1, seed=5,
+              initial=[0.0, math.sqrt(0.8), math.sqrt(0.2), 0.0]))   # live pulses, g up to 0.02
+def test_cli_run_ends_in_a_documented_exit_code(values):
+    # any input either runs or is rejected with an exit code; a completed run's
+    # free decay keeps the trace at every step
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "run.csv")
+        args = ["run", f"--regime={values['regime']}", f"--step-T={values['step_T']!r}",
+                f"--num-steps={values['num_steps']}", f"--gamma={values['gamma']!r}",
+                f"--noise-delta={values['delta_I']!r}", f"--seed={values['seed']}",
+                "--initial=" + ",".join(map(repr, values["initial"])), f"--out={out}"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
+        assert code in (EXIT_OK, 1, EXIT_NO_ROOT)
+        assert "Traceback" not in err.getvalue()
+        if code != EXIT_OK:
+            return
+        with open(out, encoding="utf-8") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    diagonal = {}
+    for row in rows:
+        if row["component"] in ("rho11_re", "rho22_re"):
+            diagonal[row["step"]] = diagonal.get(row["step"], 0.0) + float(row["uncontrolled"])
+    assert len(diagonal) == values["num_steps"]
+    for total in diagonal.values():
+        assert abs(total - 1.0) <= 1e-12
