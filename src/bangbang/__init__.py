@@ -16,9 +16,6 @@ from .evolution import (
     THERMAL_CONSISTENT,
     THERMAL_FOLDED,
     evolve,
-    evolve_adiabatic,
-    evolve_thermal,
-    harmonic_coefficients,
     harmonic_table,
     zero_control,
     zero_control_adiabatic,
@@ -28,7 +25,6 @@ from .kernels import (
     ModelParams,
     Regime,
     g_adiabatic,
-    g_kernel,
     g_thermal,
     tabulate_kernel,
 )

@@ -58,12 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args: argparse.Namespace) -> int:
-    overrides = {
-        key: getattr(args, key)
-        for key in ("regime", "gamma", "step_T", "num_steps", "delta_I", "seed",
-                    "omega_c", "beta0", "omega12", "n", "initial", "out",
-                    "hermitize", "thermal_offdiag")
-    }
+    # every other flag's dest is its configuration key
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "preset", "config")}
     try:
         cfg = load_config(path=args.config, preset=args.preset, **overrides)
         result = run_scenario(cfg)

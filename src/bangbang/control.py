@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import THERMAL_CONSISTENT, harmonic_table
+from .evolution import THERMAL_CONSISTENT, _hermitized, harmonic_table
 from .kernels import Regime
 from .noise import NoiseConfig, PulseNoise
 from .state import COMPONENT_LABELS, Component, DensityMatrix
@@ -55,21 +55,7 @@ class PulseRecord:
     degenerate: bool = False
 
 
-class _Rebuilt(Sequence):
-    """Read-only sequence whose item i is rebuilt by `_item(i)` on access."""
-
-    __slots__ = ()
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._item(j) for j in range(len(self))[i]]
-        return self._item(range(len(self))[i])
-
-    def __iter__(self):
-        return map(self._item, range(len(self)))
-
-
-class PulseLog(_Rebuilt):
+class PulseLog(Sequence):
     """A run's pulse records as columns: one exactly sized array of the solved_I, then the
     applied_I, then the root_residual values, and one byte per degenerate flag. A caller
     that keeps many runs holds 25 bytes a record. Record i is rebuilt on access as step
@@ -84,6 +70,14 @@ class PulseLog(_Rebuilt):
     def __len__(self) -> int:
         return len(self._degenerate)
 
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._item(j) for j in range(len(self))[i]]
+        return self._item(range(len(self))[i])
+
+    def __iter__(self):
+        return map(self._item, range(len(self)))
+
     def _item(self, i: int) -> PulseRecord:
         n, v = len(self._degenerate), self._values
         return PulseRecord(i + 1, Component(i % N_COMPONENTS), v[i], v[n + i], v[2 * n + i],
@@ -94,7 +88,7 @@ def solve_pulse(row, pulse_sum: float, target: float,
                 root_tol: float = ROOT_TOL) -> PulseSolution:
     """Solve A + B cos 2x + C sin 2x = target, x = pulse_sum + I, for this step's pulse I.
 
-    `row` is the component's (A, B, C) (see `harmonic_coefficients`), so with
+    `row` is the component's (A, B, C) (see `harmonic_table`), so with
     R = hypot(B, C) a root exists iff |target - A| <= R, and [-pi/2, pi/2] holds
     one full period. Of the two roots the smallest-magnitude one is returned
     (ties toward negative), with the residual of the row at it. A response with
@@ -152,28 +146,15 @@ class RunSetup:
             raise ValueError("g_table entries must be finite")
 
 
-@dataclass(frozen=True)
-class StepState:
-    """Post-step snapshot: bookkept component values, ages and pulse sums."""
-
-    step: int
-    values: tuple[float, ...]
-    ages: tuple[int, ...]
-    intended_sums: tuple[float, ...]
-    applied_sums: tuple[float, ...]
-
-
 @dataclass
 class RunResult:
     """A run's pulses, and after each step s (row s - 1) every component's bookkept value,
-    its age in steps since its last restoration, and the solved (`intended`) and applied
-    pulses summed since then; the two sums agree whenever noise is disabled."""
+    its age in steps since its last restoration, and the applied pulses summed since then."""
 
     setup: RunSetup
     pulses: PulseLog
-    values: np.ndarray                # (steps, 8), like the three below
+    values: np.ndarray                # (steps, 8), like the two below
     ages: np.ndarray
-    intended_sums: np.ndarray
     applied_sums: np.ndarray
     aborted_at: int | None = None
     error: str | None = None
@@ -182,27 +163,6 @@ class RunResult:
     @property
     def completed(self) -> bool:
         return self.aborted_at is None
-
-    @property
-    def states(self) -> Sequence[StepState]:
-        return _States(self)
-
-
-class _States(_Rebuilt):
-    """`RunResult.states`: step i + 1's `StepState`, rebuilt from the run's arrays."""
-
-    __slots__ = ("_run",)
-
-    def __init__(self, result: RunResult):
-        self._run = result
-
-    def __len__(self) -> int:
-        return len(self._run.values)
-
-    def _item(self, i: int) -> StepState:
-        r = self._run
-        return StepState(i + 1, *(tuple(x[i].tolist()) for x in
-                                  (r.values, r.ages, r.intended_sums, r.applied_sums)))
 
 
 def run(setup: RunSetup, template=None) -> RunResult:
@@ -224,7 +184,7 @@ def run(setup: RunSetup, template=None) -> RunResult:
     rows, targets = table.tolist(), setup.rho0.components()
     noise = PulseNoise(setup.noise)
     intended, applied = [0.0] * N_COMPONENTS, [0.0] * N_COMPONENTS
-    intended_log, applied_log = [], []
+    applied_log = []
     solved_col, applied_col, residual_col, degenerate_col = [], [], [], []
     aborted_at = error = error_type = None
     for s in range(1, setup.num_steps + 1):
@@ -244,7 +204,6 @@ def run(setup: RunSetup, template=None) -> RunResult:
         intended = [x + solution.value for x in intended]
         applied = [x + pulse for x in applied]
         intended[idx] = applied[idx] = 0.0
-        intended_log.append(intended)
         applied_log.append(applied)
         solved_col.append(solution.value)
         applied_col.append(pulse)
@@ -257,16 +216,14 @@ def run(setup: RunSetup, template=None) -> RunResult:
     e = np.arange(N_COMPONENTS)
     ages = np.where(steps > e, (steps - 1 - e) % N_COMPONENTS, steps)
     sums = np.array(applied_log, dtype=float).reshape(-1, N_COMPONENTS)
-    if setup.hermitize:
-        table = harmonic_table(setup.rho0, g_ages, setup.regime, setup.thermal_variant,
-                               hermitize=True)
+    if setup.hermitize:      # the pulses were solved from the plain rows
+        table = _hermitized(table)
     a, b, c = np.moveaxis(table[ages, e], -1, 0)
     return RunResult(
         setup=setup,
         pulses=PulseLog(solved_col, applied_col, residual_col, degenerate_col),
         values=a + b * np.cos(2.0 * sums) + c * np.sin(2.0 * sums),
         ages=ages,
-        intended_sums=np.array(intended_log, dtype=float).reshape(-1, N_COMPONENTS),
         applied_sums=sums,
         aborted_at=aborted_at,
         error=error,

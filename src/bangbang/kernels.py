@@ -145,16 +145,11 @@ def tabulate_kernel(taus, params: ModelParams) -> list[float]:
     return list(_table(taus, params)) if taus else []
 
 
-def g_kernel(tau: float, params: ModelParams) -> float:
-    """The regime's kernel at one tau."""
-    return tabulate_kernel([tau], params)[0]
-
-
 def g_adiabatic(tau: float, params: ModelParams) -> float:
     """Dephasing exponent g_ad(tau); g_ad(0) = 0, linear in gamma."""
-    return g_kernel(tau, replace(params, regime=Regime.ADIABATIC))
+    return tabulate_kernel([tau], replace(params, regime=Regime.ADIABATIC))[0]
 
 
 def g_thermal(tau: float, params: ModelParams) -> float:
     """Dissipation exponent g_th(tau); g_th(0) = 0, linear in gamma."""
-    return g_kernel(tau, replace(params, regime=Regime.THERMAL))
+    return tabulate_kernel([tau], replace(params, regime=Regime.THERMAL))[0]

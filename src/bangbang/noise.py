@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -24,8 +25,10 @@ class NoiseConfig:
     def __post_init__(self):
         if not math.isfinite(self.delta_I) or self.delta_I < 0:
             raise ValueError(f"delta_I must be finite and >= 0, got {self.delta_I!r}")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, Integral)
+                or not 0 <= self.seed < 2 ** 64):
+            raise ValueError(f"seed must be an integer that fits in 64 unsigned bits, "
+                             f"got {self.seed!r}")
 
 
 class PulseNoise:

@@ -111,18 +111,23 @@ _KEY_TYPES = {
 }
 
 
+# value type -> the Python types a value of it may arrive as
+_ACCEPTED = {bool: bool, int: (int, float), float: (int, float), str: str, Regime: str}
+
+
 def _parse(key: str, value, kind: type):
-    """`value` as `kind`: a bool is no number and a number no bool, and an int has no fraction."""
+    """`value` as `kind`: a bool or a string is no number, a number no bool or string,
+    and an int has no fraction."""
     if kind is complex:
-        reals = [_parse(key, v, float) for v in value]
-        if len(reals) != 4:
+        if not isinstance(value, (list, tuple)) or len(value) != 4:
             raise ConfigError(f"initial must be 4 reals (c1re, c1im, c2re, c2im), got {value!r}")
+        reals = [_parse(key, v, float) for v in value]
         return complex(*reals[:2]), complex(*reals[2:])
-    if (kind is bool) != isinstance(value, bool) or (
-            kind is int and isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
     if kind is Regime and value not in tuple(Regime):
         raise ConfigError(f"regime must be 'adiabatic' or 'thermal', got {value!r}")
+    if (not isinstance(value, _ACCEPTED[kind]) or (kind is not bool and isinstance(value, bool))
+            or (kind is int and isinstance(value, float) and not value.is_integer())):
+        raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
     return kind(value)
 
 

@@ -26,16 +26,7 @@ class Component(IntEnum):
     RHO22_IM = 7
 
 
-COMPONENT_LABELS = (
-    "rho11_re",
-    "rho11_im",
-    "rho12_re",
-    "rho12_im",
-    "rho21_re",
-    "rho21_im",
-    "rho22_re",
-    "rho22_im",
-)
+COMPONENT_LABELS = tuple(c.name.lower() for c in Component)
 
 
 @dataclass(frozen=True)
@@ -68,19 +59,6 @@ class DensityMatrix:
             rho12=r12,
             rho21=r12.conjugate(),
             rho22=complex(abs(c2) ** 2),
-        )
-
-    @classmethod
-    def from_components(cls, comps) -> "DensityMatrix":
-        """Inverse of `components`: eight reals in the fixed order back to a matrix."""
-        c = list(comps)
-        if len(c) != 8:
-            raise ValueError(f"expected 8 components, got {len(c)}")
-        return cls(
-            rho11=complex(c[0], c[1]),
-            rho12=complex(c[2], c[3]),
-            rho21=complex(c[4], c[5]),
-            rho22=complex(c[6], c[7]),
         )
 
     def components(self) -> tuple[float, ...]:

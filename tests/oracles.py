@@ -1,10 +1,14 @@
-"""Independent brute-force quadrature oracles for the decoherence kernels.
+"""Independent brute-force oracles for the decoherence kernels and the evolution maps.
 
-Deliberately written against the raw integrand definitions with composite
-Simpson on dense fixed grids, sharing no code with the package's adaptive
-Gauss-Legendre path. The thermal kernel is split around its removable
-singularity: plain Simpson on both sides of a small symmetric window, plus
-the window's Taylor-series contribution.
+The kernel oracles are deliberately written against the raw integrand
+definitions with composite Simpson on dense fixed grids, sharing no code with
+the package's Matsubara series. The thermal kernel is split around its
+removable singularity: plain Simpson on both sides of a small symmetric
+window, plus the window's Taylor-series contribution.
+
+The map oracles take the initial state as a 2x2 complex array and return the
+evolved 2x2 matrix: one as the matrix product U D_g(rho0) U^dagger, the other
+as the folded thermal variant's formula, element by element.
 """
 
 import numpy as np
@@ -91,3 +95,34 @@ def spectral_moment(m, omega_c=10.0, beta0=1.0, panels=1_200_000, cut_mult=60.0)
     if m == 1:
         y[~pos] = 2.0 / beta0
     return _simpson(y, x)
+
+
+def controlled_matrix_oracle(rho0, g, pulse_area, thermal=False):
+    """U D_g(rho0) U^dagger with U = exp(i I sigma_x) = cos I + i sin I sigma_x.
+
+    D_g multiplies the coherences by e^-g; with `thermal` it also relaxes the
+    population difference about 1/2 by e^-2g (the consistent thermal variant).
+    """
+    m = np.array(rho0, dtype=complex)
+    m[0, 1] *= np.exp(-g)
+    m[1, 0] *= np.exp(-g)
+    if thermal:
+        half_difference = 0.5 * (m[0, 0] - m[1, 1]) * np.exp(-2.0 * g)
+        m[0, 0], m[1, 1] = 0.5 + half_difference, 0.5 - half_difference
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    u = np.cos(pulse_area) * np.eye(2) + 1j * np.sin(pulse_area) * sigma_x
+    return u @ m @ u.conj().T
+
+
+def folded_thermal_oracle(rho0, g, pulse_area):
+    """The folded thermal variant as first written, element by element: Im rho12(0)
+    enters the real part of rho12 through cos 2I."""
+    c2, s2 = np.cos(2.0 * pulse_area), np.sin(2.0 * pulse_area)
+    eg, e2g = np.exp(-g), np.exp(-2.0 * g)
+    (r11, r12), (r21, r22) = np.array(rho0, dtype=complex)
+    d = r11 - r22
+    n11 = 0.5 * (1.0 + d * e2g * c2 - 1j * (r12 - r21) * eg * s2)
+    n22 = 0.5 * (1.0 - d * e2g * c2 + 1j * (r12 - r21) * eg * s2)
+    n12 = (r12.real + r12.imag * c2) * eg - 0.5j * d * e2g * s2
+    n21 = (r21.real + r21.imag * c2) * eg + 0.5j * d * e2g * s2
+    return np.array([[n11, n12], [n21, n22]])

@@ -131,11 +131,11 @@ def test_kernel_oracle_grid():
 def test_reset_exactness(preset_run):
     result = preset_run("fig1a")
     assert result.run.completed, result.run.error
-    assert len(result.run.states) == 80
+    assert len(result.run.values) == 80
     initial = FIG.components()
-    for state in result.run.states:
-        idx = (state.step - 1) % 8
-        assert state.values[idx] == pytest.approx(initial[idx], abs=1e-9)
+    for s, values in enumerate(result.run.values.tolist(), start=1):
+        idx = (s - 1) % 8
+        assert values[idx] == pytest.approx(initial[idx], abs=1e-9)
     series = result.trajectory.component_series("rho12_im", "controlled")
     for step in range(4, 81, 8):
         assert series[step - 1] == pytest.approx(0.5, abs=1e-9)
@@ -165,8 +165,7 @@ def test_replay_oracle(preset_run):
         table = tabulate_kernel(taus, params)
         rho0 = cfg.initial_state()
         last_reset = [0] * 8
-        for state in result.run.states:
-            s = state.step
+        for s, values in enumerate(result.run.values.tolist(), start=1):
             last_reset[(s - 1) % 8] = s
             for e in range(8):
                 age = s - last_reset[e]
@@ -174,7 +173,7 @@ def test_replay_oracle(preset_run):
                     (p.applied_I for p in result.run.pulses[last_reset[e]: s]), 0.0
                 )
                 expected = evolve(rho0, table[age], pulse_sum, cfg.regime).component(e)
-                assert state.values[e] == pytest.approx(expected, abs=1e-12)
+                assert values[e] == pytest.approx(expected, abs=1e-12)
 
 
 @criterion(7, "pulse-rate threshold exists and is one-sided")

@@ -54,7 +54,7 @@ def test_kernel_table_evaluates_through_the_traced_integrands(regime):
 
 def test_a_run_solves_and_perturbs_once_per_step_and_tabulates_its_maps_once():
     # per-layer counts keep their meaning only while the maps come from one table
-    # per run: three `evolve` calls at each of the ages 0..8, none per step
+    # per run, written out from the free decay: no `evolve` call at all
     spans = load_spans()
     tracer = spans.Tracer()
     tracer.install()
@@ -68,4 +68,4 @@ def test_a_run_solves_and_perturbs_once_per_step_and_tabulates_its_maps_once():
     assert calls["control.run"] == 1
     assert calls["control.solve_pulse"] == 24
     assert calls["noise.perturb"] == 24
-    assert calls["evolution.evolve"] <= 27
+    assert calls["evolution.evolve"] == 0

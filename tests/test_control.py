@@ -17,7 +17,6 @@ from bangbang import (
     RunSetup,
     detect_stabilization,
     evolve,
-    harmonic_coefficients,
     harmonic_table,
     run,
     solve_pulse,
@@ -50,6 +49,11 @@ def setup_for(rho0, regime, g_table, step_T=1.0, num_steps=None, **kw):
 def row(rho0, g, idx, regime=Regime.ADIABATIC):
     """(A, B, C) of component idx at decoherence exponent g, as `run` reads it."""
     return harmonic_table(rho0, [g], regime)[0, idx].tolist()
+
+
+def shifted_cos2(shift):
+    """(A, B, C) of the response cos(2(x - shift))."""
+    return (0.0, math.cos(2.0 * shift), math.sin(2.0 * shift))
 
 
 # ------------------------------------------------------------- solve_pulse
@@ -85,40 +89,39 @@ def test_flat_response_off_target_applies_zero_pulse():
 
 
 def test_smallest_magnitude_root_ties_to_negative():
-    sol = solve_pulse(harmonic_coefficients(lambda x: math.cos(2.0 * x)), 0.0, 0.0)
+    sol = solve_pulse((0.0, 1.0, 0.0), 0.0, 0.0)
     assert sol.value == pytest.approx(-math.pi / 4.0, abs=1e-10)
 
 
 def test_offset_root_follows_pulse_sum():
     # response cos(2(base + I)) = 0 with base pi/4: root at I = 0
-    sol = solve_pulse(harmonic_coefficients(lambda x: math.cos(2.0 * x)), math.pi / 4.0, 0.0)
+    sol = solve_pulse((0.0, 1.0, 0.0), math.pi / 4.0, 0.0)
     assert sol.value == pytest.approx(0.0, abs=1e-10)
 
 
 def test_residual_within_tolerance_on_success():
-    sol = solve_pulse(harmonic_coefficients(lambda x: math.sin(2.0 * x) + 0.3), 0.0, 0.0)
+    sol = solve_pulse((0.3, 0.0, 1.0), 0.0, 0.0)
     assert abs(sol.residual) <= 1e-12
     assert math.sin(2.0 * sol.value) + 0.3 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tangent_root_at_scan_node():
     # gamma = 0 coherence equation: cos(2I) = 1 touches zero without crossing
-    sol = solve_pulse(harmonic_coefficients(lambda x: math.cos(2.0 * x)), 0.0, 1.0)
+    sol = solve_pulse((0.0, 1.0, 0.0), 0.0, 1.0)
     assert sol.value == 0.0
     assert not sol.degenerate
 
 
 def test_root_pair_closer_than_old_scan_spacing():
     # roots 0.01 and 0.03 lie 0.02 apart, inside one cell of a pi/64 scan
-    coefs = harmonic_coefficients(lambda x: math.cos(2.0 * (x - 0.02)))
-    sol = solve_pulse(coefs, 0.0, math.cos(0.02))
+    sol = solve_pulse(shifted_cos2(0.02), 0.0, math.cos(0.02))
     assert sol.value == pytest.approx(0.01, abs=1e-12)
     assert not sol.degenerate
 
 
 def test_tangent_root_off_scan_node():
     # the target is the response's maximum, reached only at I = 0.3
-    sol = solve_pulse(harmonic_coefficients(lambda x: math.cos(2.0 * (x - 0.3))), 0.0, 1.0)
+    sol = solve_pulse(shifted_cos2(0.3), 0.0, 1.0)
     assert sol.value == pytest.approx(0.3, abs=1e-12)
     assert abs(sol.residual) <= 1e-15
 
@@ -144,17 +147,17 @@ def test_ledger_pattern_after_full_cycle():
     setup = setup_for(TILTED, Regime.ADIABATIC, g_table)
     result = run(setup)
     assert result.completed
-    final = result.states[-1]
+    ages, applied_sums = result.ages[-1].tolist(), result.applied_sums[-1].tolist()
     # component corrected j steps ago has age j and carries the last j pulses
-    assert final.ages == (7, 6, 5, 4, 3, 2, 1, 0)
+    assert ages == [7, 6, 5, 4, 3, 2, 1, 0]
     applied = [p.applied_I for p in result.pulses]
     for e in range(8):
-        j = final.ages[e]
-        assert final.applied_sums[e] == sum(applied[8 - j:], 0.0)
+        j = ages[e]
+        assert applied_sums[e] == sum(applied[8 - j:], 0.0)
     # rho22_re depends on exactly the last pulse
-    assert final.applied_sums[6] == applied[7]
+    assert applied_sums[6] == applied[7]
     # the component corrected at step 8 was restored
-    assert result.states[7].values[7] == pytest.approx(TILTED.component(7), abs=1e-9)
+    assert result.values[7, 7] == pytest.approx(TILTED.component(7), abs=1e-9)
 
 
 def test_zero_decoherence_gives_zero_pulses():
@@ -163,9 +166,9 @@ def test_zero_decoherence_gives_zero_pulses():
     result = run(setup)
     assert result.completed
     assert all(abs(p.solved_I) <= 1e-12 for p in result.pulses)
-    for state in result.states:
+    for values in result.values.tolist():
         for e in range(8):
-            assert state.values[e] == pytest.approx(FIG.component(e), abs=1e-12)
+            assert values[e] == pytest.approx(FIG.component(e), abs=1e-12)
 
 
 def test_reset_exactness_every_step():
@@ -173,9 +176,9 @@ def test_reset_exactness_every_step():
     setup = setup_for(TILTED, Regime.ADIABATIC, g_table)
     result = run(setup)
     assert result.completed
-    for state in result.states:
-        idx = (state.step - 1) % 8
-        assert state.values[idx] == pytest.approx(TILTED.component(idx), abs=1e-9)
+    for s, values in enumerate(result.values.tolist(), start=1):
+        idx = (s - 1) % 8
+        assert values[idx] == pytest.approx(TILTED.component(idx), abs=1e-9)
 
 
 def test_replay_oracle_from_scratch():
@@ -186,8 +189,7 @@ def test_replay_oracle_from_scratch():
     result = run(setup)
     assert result.completed
     last_reset = [0] * 8
-    for state, record in zip(result.states, result.pulses):
-        s = state.step
+    for s, values in enumerate(result.values.tolist(), start=1):
         last_reset[(s - 1) % 8] = s
         for e in range(8):
             age = s - last_reset[e]
@@ -195,7 +197,7 @@ def test_replay_oracle_from_scratch():
                 (p.applied_I for p in result.pulses[last_reset[e]: s]), 0.0
             )
             expected = evolve(TILTED, g_table[age], applied_sum, Regime.ADIABATIC).component(e)
-            assert state.values[e] == pytest.approx(expected, abs=1e-12)
+            assert values[e] == pytest.approx(expected, abs=1e-12)
 
 
 def test_hermitized_bookkeeping_replays_from_scratch():
@@ -221,6 +223,17 @@ def test_hermitized_bookkeeping_replays_from_scratch():
             assert values[e] == pytest.approx(expected, abs=1e-15)
 
 
+def test_adiabatic_trajectories_do_not_depend_on_hermitize():
+    # adiabatic maps are Hermitian already, so rho21 := conj(rho12) changes no value
+    rho0 = DensityMatrix.from_pure_state(cmath.exp(0.2j) * 0.6, 0.8)
+    setup = setup_for(rho0, Regime.ADIABATIC, linear_g_table(20, 0.0015),
+                      noise=NoiseConfig(delta_I=0.05, seed=3))
+    plain, hermitized = run(setup), run(replace(setup, hermitize=True))
+    assert plain.completed and any(not p.degenerate for p in plain.pulses)
+    assert list(hermitized.pulses) == list(plain.pulses)
+    assert (hermitized.values == plain.values).all()
+
+
 def test_run_aborts_with_partial_trajectory():
     # constant decoherence too strong for the tilted state's coherence slots
     g_table = (0.0,) + (0.7,) * 16
@@ -229,7 +242,7 @@ def test_run_aborts_with_partial_trajectory():
     assert not result.completed
     assert result.aborted_at == 4
     assert "NoRootInInterval" in result.error
-    assert len(result.states) == 3
+    assert len(result.values) == 3
     assert len(result.pulses) == 3
 
 
@@ -335,8 +348,8 @@ def test_offline_template_replay_matches_closed_form():
     zero_closed = run(zero_setup)
     template = detect_stabilization(zero_closed.pulses).template
     replayed = run(zero_setup, template=template)
-    for a, b in zip(zero_closed.states, replayed.states):
-        for x, y in zip(a.values, b.values):
+    for a, b in zip(zero_closed.values.tolist(), replayed.values.tolist()):
+        for x, y in zip(a, b):
             assert x == pytest.approx(y, abs=1e-11)
 
 
@@ -359,8 +372,8 @@ def test_offline_replay_of_figure_preset():
     assert closed.completed
     template = detect_stabilization(closed.pulses).template
     replayed = run(closed.setup, template=template)
-    for a, b in zip(closed.states, replayed.states):
-        for x, y in zip(a.values, b.values):
+    for a, b in zip(closed.values.tolist(), replayed.values.tolist()):
+        for x, y in zip(a, b):
             assert x == pytest.approx(y, abs=10 * cfg.root_tol)
 
 

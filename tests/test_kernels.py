@@ -4,7 +4,6 @@ from bangbang import (
     ModelParams,
     Regime,
     g_adiabatic,
-    g_kernel,
     g_thermal,
     tabulate_kernel,
 )
@@ -73,7 +72,7 @@ def test_thermal_matches_simpson_oracle_at_small_tau():
 def test_matches_simpson_oracle_over_preset_tau_range(regime, tau):
     # the figure presets reach tau = 160 (adiabatic) and 80 (thermal)
     oracle = g_adiabatic_oracle if regime is Regime.ADIABATIC else g_thermal_oracle
-    assert g_kernel(tau, params(regime)) == pytest.approx(oracle(tau), rel=1e-10)
+    assert tabulate_kernel([tau], params(regime))[0] == pytest.approx(oracle(tau), rel=1e-10)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 5])
@@ -96,7 +95,7 @@ def test_small_tau_limit_is_the_correlation_at_zero(regime, n):
         c0 = spectral_moment(3)
         c4 = spectral_moment(5) - 2.0 * p.omega12 * spectral_moment(4) + p.omega12 ** 2 * c0
     for tau in (1e-6, 1e-5):
-        got = g_kernel(tau, p) / tau ** 2
+        got = tabulate_kernel([tau], p)[0] / tau ** 2
         assert got == pytest.approx(p.gamma * (c0 / 2.0 - tau ** 2 * c4 / 24.0), rel=1e-12)
 
 
@@ -128,7 +127,7 @@ def test_tabulate_kernel():
     assert tabulate_kernel([], p) == []
     taus = [0.0, 0.5, 1.0, 1.5]
     table = tabulate_kernel(taus, p)
-    assert table == [g_kernel(t, p) for t in taus]
+    assert table == [tabulate_kernel([t], p)[0] for t in taus]
     with pytest.raises(ValueError, match="strictly increasing"):
         tabulate_kernel([0.0, 0.5, 0.5], p)
     with pytest.raises(ValueError, match="tau"):
@@ -140,7 +139,7 @@ def test_thermal_values_do_not_depend_on_the_grid():
     p = params(Regime.THERMAL)
     taus = [0.7 * k for k in range(40)]
     table = tabulate_kernel(taus, p)
-    assert table == [g_kernel(t, p) for t in taus]
+    assert table == [tabulate_kernel([t], p)[0] for t in taus]
     assert tabulate_kernel(taus[17::5], p) == table[17::5]
 
 

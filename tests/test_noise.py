@@ -73,6 +73,10 @@ def test_config_validation():
         NoiseConfig(delta_I=math.nan)
     with pytest.raises(ValueError, match="seed"):
         NoiseConfig(seed=-1)
+    for seed in (True, 2.7, 7.0, "7"):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseConfig(seed=seed)
+    assert NoiseConfig(seed=np.uint64(2 ** 64 - 1)).seed == 2 ** 64 - 1
 
 
 def test_algorithm_name_documented():

@@ -71,6 +71,11 @@ def test_unknown_key():
     ("seed", 2.7),
     ("num_steps", True),
     ("gamma", True),
+    ("num_steps", "24"),
+    ("step_T", "1e-3"),
+    ("seed", "7"),
+    ("initial", "0.5"),
+    ("out", 5),
 ])
 def test_config_file_values_of_the_wrong_type_rejected(field, value, tmp_path, capsys):
     path = tmp_path / "cfg.json"

@@ -1,10 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bangbang import COMPONENT_LABELS, Component, DensityMatrix
+from bangbang.state import _NORM_TOL
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -54,11 +55,6 @@ def test_component_order_is_frozen():
     assert [c.value for c in Component] == list(range(8))
 
 
-def test_from_components_length_check():
-    with pytest.raises(ValueError, match="8 components"):
-        DensityMatrix.from_components([1.0, 0.0])
-
-
 amplitude = st.tuples(
     st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False)
 )
@@ -76,18 +72,21 @@ def pure_amplitudes(draw):
 
 
 @given(pure_amplitudes())
+@example(amps=((0.7525766947068779 + 0.6585046078685182j), 0j))   # |c1|^2 = 1 + 4e-16
 def test_pure_state_invariants(amps):
+    # from_pure_state accepts norms within _NORM_TOL of 1, so rho11 may leave [0, 1] by as much
     c1, c2 = amps
     rho = DensityMatrix.from_pure_state(c1, c2)
     assert abs(rho.trace() - 1.0) <= 1e-12
     assert rho.rho21 == rho.rho12.conjugate()
-    assert 0.0 <= rho.rho11.real <= 1.0
+    assert -_NORM_TOL <= rho.rho11.real <= 1.0 + _NORM_TOL
     assert rho.rho11.imag == 0.0
 
 
 @given(pure_amplitudes())
 def test_component_round_trip(amps):
     rho = DensityMatrix.from_pure_state(*amps)
-    again = DensityMatrix.from_components(rho.components())
+    comps = rho.components()
+    again = DensityMatrix(*map(complex, comps[::2], comps[1::2]))
     assert again == rho
     assert all(again.component(k) == rho.components()[k] for k in range(8))
