@@ -11,9 +11,11 @@ and keeps, per component, the pulse sums since its last restoration.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +26,9 @@ from .state import COMPONENT_LABELS, Component, DensityMatrix
 
 N_COMPONENTS = 8
 ROOT_TOL = 1e-12                     # on the restoration-equation residual
+# |(target - A)/R| this close to 1 is a tangent root: the target is the response's
+# extremum up to the last bits, which acos would magnify to about sqrt(epsilon)
+_TANGENT_TOL = 4 * sys.float_info.epsilon
 
 
 class NoRootInInterval(RuntimeError):
@@ -56,16 +61,18 @@ class PulseRecord:
 
 
 class PulseLog(Sequence):
-    """A run's pulse records as columns: one exactly sized array of the solved_I, then the
-    applied_I, then the root_residual values, and one byte per degenerate flag. A caller
-    that keeps many runs holds 25 bytes a record. Record i is rebuilt on access as step
-    i + 1, component i mod 8."""
+    """A run's pulse records as columns. The solved_I and root_residual values (arrays of
+    doubles) and the degenerate flags (one byte each) are the solve's, shared by every
+    seed of a scenario; the applied_I values are this run's own exactly sized array, so a
+    caller that keeps many seeds of one scenario holds 8 bytes a record. Record i is
+    rebuilt on access as step i + 1, component i mod 8."""
 
-    __slots__ = ("_values", "_degenerate")
+    __slots__ = ("_solved", "_applied", "_residual", "_degenerate")
 
     def __init__(self, solved, applied, residual, degenerate):
-        self._values = array("d", [*solved, *applied, *residual])
-        self._degenerate = bytes(map(bool, degenerate))
+        self._solved, self._applied, self._residual = map(_doubles, (solved, applied, residual))
+        self._degenerate = (degenerate if isinstance(degenerate, bytes)
+                            else bytes(map(bool, degenerate)))
 
     def __len__(self) -> int:
         return len(self._degenerate)
@@ -78,10 +85,24 @@ class PulseLog(Sequence):
     def __iter__(self):
         return map(self._item, range(len(self)))
 
+    @property
+    def solved_I(self) -> memoryview:
+        """The solved pulses, read-only."""
+        return memoryview(self._solved).toreadonly()
+
+    @property
+    def applied_I(self) -> memoryview:
+        """The applied pulses, read-only."""
+        return memoryview(self._applied).toreadonly()
+
     def _item(self, i: int) -> PulseRecord:
-        n, v = len(self._degenerate), self._values
-        return PulseRecord(i + 1, Component(i % N_COMPONENTS), v[i], v[n + i], v[2 * n + i],
-                           bool(self._degenerate[i]))
+        return PulseRecord(i + 1, Component(i % N_COMPONENTS), self._solved[i], self._applied[i],
+                           self._residual[i], bool(self._degenerate[i]))
+
+
+def _doubles(values) -> array:
+    """`values` as an array of doubles: an array is kept (shared), anything else copied."""
+    return values if isinstance(values, array) else array("d", values)
 
 
 def solve_pulse(row, pulse_sum: float, target: float,
@@ -91,7 +112,8 @@ def solve_pulse(row, pulse_sum: float, target: float,
     `row` is the component's (A, B, C) (see `harmonic_table`), so with
     R = hypot(B, C) a root exists iff |target - A| <= R, and [-pi/2, pi/2] holds
     one full period. Of the two roots the smallest-magnitude one is returned
-    (ties toward negative), with the residual of the row at it. A response with
+    (ties toward negative), with the residual of the row at it; a tangent root
+    (the target within a few ulps of an extremum) is the extremum itself. A response with
     2R <= root_tol cannot be influenced by the pulse at this step
     (symmetry-forced components, or coherence factors decayed below
     resolution): the zero pulse is returned and flagged degenerate. Otherwise a
@@ -111,7 +133,10 @@ def solve_pulse(row, pulse_sum: float, target: float,
             f"reach target {target:.6g}"
         )
     phi = math.atan2(c, b)
-    half = math.acos(min(1.0, max(-1.0, (target - a) / r)))
+    q = (target - a) / r
+    if abs(abs(q) - 1.0) <= _TANGENT_TOL:
+        q = math.copysign(1.0, q)
+    half = math.acos(min(1.0, max(-1.0, q)))
     roots = (math.remainder(0.5 * (phi + sign * half) - pulse_sum, math.pi) for sign in (-1.0, 1.0))
     value = min(roots, key=lambda x: (abs(x), x))
     return PulseSolution(value=value, residual=residual(pulse_sum + value))
@@ -174,18 +199,73 @@ def run(setup: RunSetup, template=None) -> RunResult:
     corrected component's clock returns to zero, so its bookkept value is its
     reference value. With an 8-pulse `template` the pulses are replayed open
     loop instead of solved (root residual NaN); the bookkeeping is the same.
+
+    The control is open loop, so the solve never depends on the noise: it is
+    made once per scenario (see `_plan`), and each seed only draws its noise,
+    sums the applied pulses and reads the bookkept values.
     """
     if template is not None:
         template = tuple(float(v) for v in template)
         if len(template) != N_COMPONENTS:
             raise ValueError(f"template must have 8 pulses, got {len(template)}")
+    plan = _plan(replace(setup, noise=_NO_NOISE), template,
+                 _sign_bits((*setup.rho0.components(), *(template or ()))))
+    noise = PulseNoise(setup.noise)
+    applied_col = array("d", [noise.perturb(v) for v in plan.solved])
+    applied, applied_log = [0.0] * N_COMPONENTS, []
+    for s, pulse in enumerate(applied_col):
+        applied = [x + pulse for x in applied]
+        applied[s % N_COMPONENTS] = 0.0
+        applied_log.append(applied)
+    sums = np.array(applied_log, dtype=float).reshape(-1, N_COMPONENTS)
+    a, b, c = plan.coefficients
+    return RunResult(
+        setup=setup,
+        pulses=PulseLog(plan.solved, applied_col, plan.residual, plan.degenerate),
+        values=a + b * np.cos(2.0 * sums) + c * np.sin(2.0 * sums),
+        ages=plan.ages,
+        applied_sums=sums,
+        aborted_at=plan.aborted_at,
+        error=plan.error,
+        error_type=plan.error_type,
+    )
+
+
+_NO_NOISE = NoiseConfig()
+
+
+def _sign_bits(values) -> bytes:
+    """One byte per value, set where its sign bit is: -0.0 == 0.0 in a cache key,
+    but the sign of a zero shows in the output."""
+    return bytes(math.copysign(1.0, v) < 0.0 for v in values)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The seed-independent half of a run: the solved pulses up to the abort, and after
+    each step s (row s - 1) every component's age and the (A, B, C) of the table row its
+    bookkept value is read from. Every seed of a scenario shares one, so the arrays are
+    read-only."""
+
+    solved: array
+    residual: array
+    degenerate: bytes
+    aborted_at: int | None
+    error: str | None
+    error_type: type[Exception] | None
+    ages: np.ndarray                  # (steps, 8)
+    coefficients: np.ndarray          # (3, steps, 8): A, B and C
+
+
+@lru_cache(maxsize=4)
+def _plan(setup: RunSetup, template: tuple[float, ...] | None, sign_bits: bytes) -> _Plan:
+    """Solve `setup` (noise-free) or replay `template` once, for every seed. `sign_bits`
+    only keys the cache (see `_sign_bits`)."""
     g_ages = setup.g_table[:min(setup.num_steps, N_COMPONENTS) + 1]
     table = harmonic_table(setup.rho0, g_ages, setup.regime, setup.thermal_variant)
     rows, targets = table.tolist(), setup.rho0.components()
-    noise = PulseNoise(setup.noise)
-    intended, applied = [0.0] * N_COMPONENTS, [0.0] * N_COMPONENTS
-    applied_log = []
-    solved_col, applied_col, residual_col, degenerate_col = [], [], [], []
+    intended = [0.0] * N_COMPONENTS
+    solved, residual, degenerate = [], [], []
     aborted_at = error = error_type = None
     for s in range(1, setup.num_steps + 1):
         idx, age = (s - 1) % N_COMPONENTS, min(s, N_COMPONENTS)
@@ -200,35 +280,24 @@ def run(setup: RunSetup, template=None) -> RunResult:
                 break
         else:
             solution = PulseSolution(value=template[idx], residual=math.nan)
-        pulse = noise.perturb(solution.value)
         intended = [x + solution.value for x in intended]
-        applied = [x + pulse for x in applied]
-        intended[idx] = applied[idx] = 0.0
-        applied_log.append(applied)
-        solved_col.append(solution.value)
-        applied_col.append(pulse)
-        residual_col.append(solution.residual)
-        degenerate_col.append(solution.degenerate)
+        intended[idx] = 0.0
+        solved.append(solution.value)
+        residual.append(solution.residual)
+        degenerate.append(solution.degenerate)
 
     # after step s, component e was last restored at the latest step r <= s with
     # r = e + 1 (mod 8), or never (age s)
-    steps = np.arange(1, len(applied_log) + 1)[:, None]
+    steps = np.arange(1, len(solved) + 1)[:, None]
     e = np.arange(N_COMPONENTS)
     ages = np.where(steps > e, (steps - 1 - e) % N_COMPONENTS, steps)
-    sums = np.array(applied_log, dtype=float).reshape(-1, N_COMPONENTS)
     if setup.hermitize:      # the pulses were solved from the plain rows
         table = _hermitized(table)
-    a, b, c = np.moveaxis(table[ages, e], -1, 0)
-    return RunResult(
-        setup=setup,
-        pulses=PulseLog(solved_col, applied_col, residual_col, degenerate_col),
-        values=a + b * np.cos(2.0 * sums) + c * np.sin(2.0 * sums),
-        ages=ages,
-        applied_sums=sums,
-        aborted_at=aborted_at,
-        error=error,
-        error_type=error_type,
-    )
+    coefficients = np.moveaxis(table[ages, e], -1, 0)
+    for frozen in (ages, coefficients):
+        frozen.flags.writeable = False
+    return _Plan(array("d", solved), array("d", residual), bytes(degenerate), aborted_at, error,
+                 error_type, ages, coefficients)
 
 
 @dataclass(frozen=True)

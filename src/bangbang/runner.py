@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from . import control
-from .control import ROOT_TOL, RunResult, RunSetup, StabilizationReport
+from .control import ROOT_TOL, RunResult, RunSetup, StabilizationReport, _sign_bits
 from .evolution import THERMAL_CONSISTENT, THERMAL_FOLDED, zero_control
 from .kernels import ModelParams, Regime, tabulate_kernel
 from .noise import RNG_ALGORITHM, NoiseConfig
@@ -202,6 +204,9 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
     aborted_at: int | None = None
     error: str | None = None
+    # CSV text of each row up to `controlled` (see `_head`), shared by every seed of a
+    # scenario; None formats it from the rows
+    heads: Sequence[str] | None = field(default=None, repr=False, compare=False)
 
     def component_series(self, label: str, column: str) -> list[float]:
         return [getattr(r, column) for r in self.rows if r.component == label]
@@ -266,23 +271,16 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     result = control.run(setup)
 
     unitary = rho0.components()
+    free_decay, heads = _free_decay_text(rho0, g_table, cfg.regime, cfg.step_T,
+                                         _sign_bits(unitary))
     rows: list[TrajectoryRow] = []
-    for s, (record, controlled) in enumerate(zip(result.pulses, result.values.tolist()), 1):
+    steps = zip(range(1, cfg.num_steps + 1), free_decay, result.values.tolist(),
+                result.pulses.solved_I, result.pulses.applied_I)
+    for s, free, controlled, solved, applied in steps:
         tau = s * cfg.step_T
-        free = zero_control(rho0, g_table[s], cfg.regime).components()
         for e in range(8):
-            rows.append(
-                TrajectoryRow(
-                    step=s,
-                    tau=tau,
-                    component=COMPONENT_LABELS[e],
-                    unitary=unitary[e],
-                    uncontrolled=free[e],
-                    controlled=controlled[e],
-                    solved_I=record.solved_I,
-                    applied_I=record.applied_I,
-                )
-            )
+            rows.append(TrajectoryRow(s, tau, COMPONENT_LABELS[e], unitary[e], free[e],
+                                      controlled[e], solved, applied))
 
     stab = None
     if result.completed and len(result.pulses) >= 24:
@@ -301,14 +299,31 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     meta = _metadata(cfg)
     meta["stabilization"] = note
-    traj = Trajectory(rows=rows, metadata=meta, aborted_at=result.aborted_at, error=result.error)
+    traj = Trajectory(rows=rows, metadata=meta, aborted_at=result.aborted_at, error=result.error,
+                      heads=heads[:len(rows)])
     return ScenarioResult(
         config=cfg, trajectory=traj, run=result, stabilization=stab, stabilization_note=note
     )
 
 
+@lru_cache(maxsize=4)
+def _free_decay_text(rho0: DensityMatrix, g_table: tuple[float, ...], regime: Regime,
+                     step_T: float, sign_bits: bytes):
+    """Per step, the free decay's eight components, and per row its CSV text up to
+    `controlled`: all of a row that no seed changes. `sign_bits` only keys the cache."""
+    unitary = rho0.components()
+    free_decay = tuple(zero_control(rho0, g, regime).components() for g in g_table[1:])
+    heads = tuple(_head(s, s * step_T, COMPONENT_LABELS[e], unitary[e], free[e])
+                  for s, free in enumerate(free_decay, 1) for e in range(8))
+    return free_decay, heads
+
+
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _head(step: int, tau: float, component: str, unitary: float, uncontrolled: float) -> str:
+    return f"{step},{_fmt(tau)},{component},{_fmt(unitary)},{_fmt(uncontrolled)},"
 
 
 def export_csv(traj: Trajectory, path: str) -> str:
@@ -319,11 +334,16 @@ def export_csv(traj: Trajectory, path: str) -> str:
     """
     lines = [f"# {key} = {value}" for key, value in traj.metadata.items()]
     lines.append(CSV_HEADER)
-    for r in traj.rows:
-        lines.append(
-            f"{r.step},{_fmt(r.tau)},{r.component},{_fmt(r.unitary)},"
-            f"{_fmt(r.uncontrolled)},{_fmt(r.controlled)},{_fmt(r.solved_I)},{_fmt(r.applied_I)}"
-        )
+    heads = traj.heads
+    if heads is None:
+        heads = [_head(r.step, r.tau, r.component, r.unitary, r.uncontrolled) for r in traj.rows]
+    solved = applied = pulses = None
+    for r, head in zip(traj.rows, heads):
+        # a step's rows share its two pulse objects, so their text is made once a step
+        if r.solved_I is not solved or r.applied_I is not applied:
+            solved, applied = r.solved_I, r.applied_I
+            pulses = f"{_fmt(solved)},{_fmt(applied)}"
+        lines.append(f"{head}{_fmt(r.controlled)},{pulses}")
     if traj.aborted_at is not None:
         lines.append(f"# aborted at step {traj.aborted_at}: {traj.error}")
     try:

@@ -1,6 +1,6 @@
 import cmath
 import math
-import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -110,6 +110,23 @@ def test_tangent_root_at_scan_node():
     sol = solve_pulse((0.0, 1.0, 0.0), 0.0, 1.0)
     assert sol.value == 0.0
     assert not sol.degenerate
+
+
+@pytest.mark.parametrize("target, root", [(1.0 - 2.0 ** -53, 0.0),
+                                          (2.0 ** -53 - 1.0, -math.pi / 2)])
+def test_tangent_root_an_ulp_inside_the_extremum_is_exact(target, root):
+    # (target - A)/R is an ulp inside +-1; acos would turn that ulp into a root 7.5e-9 off
+    assert solve_pulse((0.0, 1.0, 0.0), 0.0, target).value == root
+
+
+def test_real_coherence_run_keeps_its_tangent_pulses_zero():
+    # each rho11_re step's target is the maximum A + B of its response to the last ulps
+    from bangbang import load_config, run_scenario
+
+    result = run_scenario(load_config(regime="adiabatic", initial=[-0.6, 0.0, 0.8, 0.0],
+                                      step_T=1e-4, num_steps=24))
+    assert [p.solved_I for p in result.run.pulses] == [0.0] * 24
+    assert result.stabilization.template == (0.0,) * 8
 
 
 def test_root_pair_closer_than_old_scan_spacing():
@@ -298,13 +315,22 @@ def test_pulse_log_returns_the_records_appended():
 
 
 def test_pulse_log_is_exactly_sized():
-    # a caller that keeps every run's log keeps these bytes per run
-    result = run(setup_for(TILTED, Regime.ADIABATIC, linear_g_table(80, 1e-4)))
-    log = result.pulses
-    assert result.completed and len(log) == 80
-    assert not hasattr(log, "__dict__")
-    size = sys.getsizeof(log) + sum(sys.getsizeof(buf) for buf in (log._values, log._degenerate))
-    assert size <= 25 * 80 + 300
+    # a caller that keeps every seed's log of one scenario keeps, per seed, only what the
+    # seeds do not share: the log and its applied column, 8 bytes a step
+    noisy = setup_for(TILTED, Regime.ADIABATIC, linear_g_table(80, 1e-4),
+                      noise=NoiseConfig(delta_I=0.01, seed=0))
+    assert run(noisy).completed                       # the solve, shared by the seeds below
+    logs, traced = [], {}
+    tracemalloc.start()
+    try:
+        for k in range(1, 101):
+            logs.append(run(replace(noisy, noise=NoiseConfig(delta_I=0.01, seed=k))).pulses)
+            if k in (20, 100):      # the slope leaves out what the first runs fill once
+                traced[k] = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(len(log) == 80 for log in logs) and not hasattr(logs[0], "__dict__")
+    assert (traced[100] - traced[20]) / 80 <= 9 * 80 + 300
 
 
 def test_stabilization_zero_run():
@@ -351,6 +377,14 @@ def test_offline_template_replay_matches_closed_form():
     for a, b in zip(zero_closed.values.tolist(), replayed.values.tolist()):
         for x, y in zip(a, b):
             assert x == pytest.approx(y, abs=1e-11)
+
+
+def test_template_replay_keeps_the_sign_of_a_zero_pulse():
+    # -0.0 == 0.0, so the two templates look alike to a cache key; their pulses print apart
+    setup = setup_for(FIG, Regime.ADIABATIC, (0.0,) * 9)
+    for zero in (0.0, -0.0):
+        pulses = run(setup, template=(zero,) * 8).pulses
+        assert {math.copysign(1.0, p.solved_I) for p in pulses} == {math.copysign(1.0, zero)}
 
 
 def test_replay_template_validation():

@@ -4,17 +4,21 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import bangbang
 from bangbang import (
     PRESETS,
     ConfigError,
     Regime,
     Trajectory,
+    TrajectoryRow,
     export_csv,
     g_adiabatic,
     load_config,
@@ -256,6 +260,75 @@ def test_csv_floats_round_trip(tmp_path):
         assert float(cells[7]) == row.applied_I
 
 
+def test_writes_into_a_run_do_not_reach_a_later_run_of_its_scenario(tmp_path):
+    # the seeds of a scenario share its solve: a write into one run's arrays either
+    # raises or stays in that run
+    cfg = load_config(preset="fig1b", num_steps=24, seed=5)
+    first = run_scenario(cfg)
+    export_csv(first.trajectory, str(tmp_path / "first.csv"))
+    arrays = {name: getattr(first.run, name) for name in ("values", "ages", "applied_sums")}
+    before = {name: array.tobytes() for name, array in arrays.items()}
+    for array in arrays.values():
+        try:
+            array[...] = 3
+        except ValueError:      # read-only
+            pass
+    for column in (first.run.pulses.solved_I, first.run.pulses.applied_I):
+        with pytest.raises(TypeError):
+            column[0] = 3.0
+    later = run_scenario(cfg)
+    export_csv(later.trajectory, str(tmp_path / "later.csv"))
+    assert (tmp_path / "later.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+    assert {name: getattr(later.run, name).tobytes() for name in arrays} == before
+
+
+def test_seeds_run_in_one_process_write_what_fresh_interpreters_write(tmp_path):
+    # seeds A, B, A one after the other, against each seed alone in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(bangbang.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    args = ["run", "--preset", "fig2b", "--num-steps", "24"]
+    fresh = {}
+    for seed in (7, 8):
+        path = tmp_path / f"fresh-{seed}.csv"
+        subprocess.run([sys.executable, "-m", "bangbang.cli", *args, "--seed", str(seed),
+                        "--out", str(path)], env=env, check=True, capture_output=True)
+        fresh[seed] = path.read_bytes()
+    for k, seed in enumerate((7, 8, 7)):
+        path = tmp_path / f"warm-{k}.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*args, "--seed", str(seed), "--out", str(path)]) == EXIT_OK
+        assert path.read_bytes() == fresh[seed]
+
+
+def test_a_warm_cache_keeps_the_sign_of_a_zero(tmp_path):
+    # -0.0 == 0.0, so two states that differ only there look alike to a cache key;
+    # their unitary and free-decay columns print the sign
+    printed = []
+    for zero in (0.0, -0.0):
+        cfg = load_config(regime="adiabatic", step_T=1e-4, num_steps=8,
+                          initial=[zero, 0.6, 0.8, zero])
+        export_csv(run_scenario(cfg).trajectory, str(tmp_path / "run.csv"))
+        with open(tmp_path / "run.csv", encoding="utf-8") as fh:
+            rows = csv.DictReader(line for line in fh if not line.startswith("#"))
+            first = next(r for r in rows if r["component"] == "rho12_re")
+        printed.append((first["unitary"], first["uncontrolled"]))
+    assert printed == [("0.0", "0.0"), ("-0.0", "-0.0")]
+
+
+def test_hand_built_trajectory_exports_row_by_row(tmp_path):
+    rows = [TrajectoryRow(1, 0.5, "rho11_re", 0.5, 0.25, 0.125, 0.0, 0.1),
+            TrajectoryRow(1, 0.5, "rho11_im", 0.0, -0.0, 1e-300, -0.0, 0.1),
+            TrajectoryRow(2, 1.0, "rho11_re", 1, 2, 3, -0.0, 0.1)]
+    path = tmp_path / "hand.csv"
+    export_csv(Trajectory(rows=rows, metadata={"note": "hand"}), str(path))
+    assert path.read_text(encoding="utf-8").splitlines()[2:] == [
+        "1,0.5,rho11_re,0.5,0.25,0.125,0.0,0.1",
+        "1,0.5,rho11_im,0.0,-0.0,1e-300,-0.0,0.1",
+        "2,1.0,rho11_re,1.0,2.0,3.0,-0.0,0.1",
+    ]
+
+
 def test_empty_trajectory_exports_header_only(tmp_path):
     traj = Trajectory(rows=[], metadata={"note": "empty"})
     path = tmp_path / "empty.csv"
@@ -368,12 +441,91 @@ def test_cli_run_ends_in_a_documented_exit_code(values):
         assert "Traceback" not in err.getvalue()
         if code != EXIT_OK:
             return
-        with open(out, encoding="utf-8") as fh:
-            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        traces = free_decay_traces(out)
+    assert len(traces) == values["num_steps"]
+    for total in traces:
+        assert abs(total - 1.0) <= 1e-12
+
+
+def free_decay_traces(path) -> list[float]:
+    """Per step of the CSV at `path`, rho11_re + rho22_re of the `uncontrolled` column."""
+    with open(path, encoding="utf-8") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
     diagonal = {}
     for row in rows:
         if row["component"] in ("rho11_re", "rho22_re"):
             diagonal[row["step"]] = diagonal.get(row["step"], 0.0) + float(row["uncontrolled"])
-    assert len(diagonal) == values["num_steps"]
-    for total in diagonal.values():
+    return list(diagonal.values())
+
+
+# a value of any JSON type; numbers stay small enough that a count is cheap to run
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-5, 10 ** 6), st.floats(),
+                  st.text(max_size=6), st.lists(st.floats(-2.0, 2.0), max_size=5),
+                  st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+_PLAUSIBLE = {
+    "regime": st.sampled_from(["adiabatic", "thermal"]),
+    "gamma": st.floats(0.0, 5.0),
+    "n": st.integers(1, 5),
+    "omega_c": st.floats(0.5, 20.0),
+    "beta0": st.floats(0.1, 5.0),
+    "omega12": st.floats(0.1, 5.0),
+    "step_T": st.integers(-60, 5).map(lambda k: 10.0 ** (k / 10.0)),
+    "num_steps": st.integers(1, 16),
+    "initial": st.tuples(st.integers(0, 20), st.integers(-8, 8)).map(
+        lambda tp: [math.sqrt(tp[0] / 20) * math.cos(tp[1] * math.pi / 8),
+                    math.sqrt(tp[0] / 20) * math.sin(tp[1] * math.pi / 8),
+                    math.sqrt(1.0 - tp[0] / 20), 0.0]),
+    "delta_I": st.floats(0.0, 1.0),
+    "seed": st.integers(0, 2 ** 64 - 1),
+    "hermitize": st.booleans(),
+    "root_tol": st.integers(-15, -3).map(lambda k: 10.0 ** k),
+    "thermal_offdiag": st.sampled_from(["consistent", "folded"]),
+    "out": st.just("ignored.csv"),
+}
+
+
+@st.composite
+def config_files(draw):
+    """The text of a config file: mostly a JSON object whose keys are each left out or
+    plausible, up to two of them of any JSON type, sometimes with an unknown key; else
+    any JSON or text."""
+    kind = draw(st.sampled_from(["object"] * 8 + ["json", "text"]))
+    if kind == "text":
+        return draw(st.text(max_size=20))
+    if kind == "json":
+        return json.dumps(draw(_JUNK))
+    broken = draw(st.one_of(st.just(set()), st.sets(st.sampled_from(sorted(_PLAUSIBLE)),
+                                                    min_size=1, max_size=2)))
+    values = {}
+    for key, plausible in _PLAUSIBLE.items():
+        if key in broken:
+            # a count of any size is valid JSON but runs for as long as it asks
+            values[key] = draw(st.integers(-5, 16) if key == "num_steps" else _JUNK)
+        elif draw(st.booleans()):
+            values[key] = draw(plausible)
+    if draw(st.integers(0, 3)) == 0:
+        values[draw(st.text(min_size=1, max_size=6))] = draw(_JUNK)
+    return json.dumps(values)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=config_files())
+@example(text='{"regime": "thermal", "num_steps": 16, "step_T": 5e-5, "delta_I": 0.1,'
+         ' "initial": [0.0, 0.8944271909999159, 0.4472135954999579, 0.0]}')
+@example(text='{"num_steps": 8, "initial": [0.0, 0.8944271909999159, 0.4472135954999579, 0.0]}')
+def test_any_config_file_runs_or_ends_in_a_documented_exit_code(text, tmp_path):
+    config, out = tmp_path / "config.json", tmp_path / "run.csv"
+    config.write_text(text, encoding="utf-8")
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(config), "--out", str(out)])
+    assert code in (EXIT_OK, 1, EXIT_NO_ROOT)
+    assert "Traceback" not in err.getvalue()
+    if code != EXIT_OK:
+        return
+    traces = free_decay_traces(out)
+    assert traces
+    for total in traces:
         assert abs(total - 1.0) <= 1e-12
